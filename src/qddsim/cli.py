@@ -389,6 +389,11 @@ def main(argv: list[str] | None = None) -> int:
     except (QasmParseError, ZeroStateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (RecursionError, MemoryError) as exc:
+        # The diagram walks recurse once per qubit, so a deep register can
+        # exhaust the stack; a wide diagram can exhaust memory.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -2,15 +2,16 @@
 
 The exact backend represents every coefficient canonically as
 
-    a + b*sqrt(2) + c*i + d*i*sqrt(2)
+    (a + b*sqrt(2) + c*i + d*i*sqrt(2)) / den
 
-with reduced ``fractions.Fraction`` components.  Because 1, sqrt(2), i and
-i*sqrt(2) are linearly independent over the rationals, two values are equal
-iff their four components are equal, so equality, hashing and interning of
-edge labels stay purely structural.  The subset is closed under +, -, *, /
-(division rationalizes through the complex conjugate and then the sqrt(2)
-conjugate), contains the eighth root of unity omega = (1+i)/sqrt(2), and is
-therefore closed under everything a Clifford+T simulation produces.
+with five Python ints over one shared denominator, in normal form: den > 0
+and gcd(a, b, c, d, den) = 1.  Because 1, sqrt(2), i and i*sqrt(2) are
+linearly independent over the rationals, that form is unique, so equality,
+hashing and interning of edge labels stay purely structural.  The subset is
+closed under +, -, *, / (division rationalizes through the complex conjugate
+and then the sqrt(2) conjugate, all in integers), contains the eighth root
+of unity omega = (1+i)/sqrt(2), and is therefore closed under everything a
+Clifford+T simulation produces.  ``a``..``d`` read back as reduced Fractions.
 
 The float backend uses plain ``complex`` doubles; equality and zero tests
 compare against a configurable absolute tolerance, and hashing rounds to a
@@ -22,36 +23,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
-from functools import total_ordering
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-_HALF = Fraction(1, 2)
-
-_FractionLike = int | Fraction
-
+from functools import cmp_to_key, total_ordering
+from math import gcd, lcm
 
 class RingValue:
-    """One exact coefficient ``a + b*sqrt2 + c*i + d*i*sqrt2``."""
+    """One exact coefficient ``(a + b*sqrt2 + c*i + d*i*sqrt2) / den``."""
 
-    __slots__ = ("a", "b", "c", "d", "_h")
+    __slots__ = ("_a", "_b", "_c", "_d", "_den", "_h")
 
-    def __init__(
-        self,
-        a: _FractionLike = 0,
-        b: _FractionLike = 0,
-        c: _FractionLike = 0,
-        d: _FractionLike = 0,
-    ) -> None:
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
+    def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0,
+                 c: int | Fraction = 0, d: int | Fraction = 0) -> None:
+        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            n = 1
+        else:
+            # Over the lcm of reduced denominators the numerators share no
+            # factor with it, so the result is already in normal form.
+            fs = [Fraction(v) for v in (a, b, c, d)]
+            n = lcm(*(f.denominator for f in fs))
+            a, b, c, d = (f.numerator * (n // f.denominator) for f in fs)
+        self._a, self._b, self._c, self._d, self._den = a, b, c, d, n
         self._h: int | None = None
 
-    @classmethod
-    def from_int(cls, n: int) -> RingValue:
-        return cls(Fraction(n))
+    a = property(lambda self: Fraction(self._a, self._den), doc="Reduced rational part.")
+    b = property(lambda self: Fraction(self._b, self._den), doc="Reduced sqrt2 part.")
+    c = property(lambda self: Fraction(self._c, self._den), doc="Reduced i part.")
+    d = property(lambda self: Fraction(self._d, self._den), doc="Reduced i*sqrt2 part.")
 
     def __repr__(self) -> str:
         return f"RingValue({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
@@ -61,60 +57,55 @@ class RingValue:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = RingValue.from_int(other)
+            other = RingValue(other)
         if not isinstance(other, RingValue):
             return NotImplemented
-        return (
-            self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-        )
+        return (self._a, self._b, self._c, self._d, self._den) == (
+            other._a, other._b, other._c, other._d, other._den)
 
     def __hash__(self) -> int:
         if self._h is None:
-            self._h = hash((self.a, self.b, self.c, self.d))
+            self._h = hash((self._a, self._b, self._c, self._d, self._den))
         return self._h
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
+        return not (self._a or self._b or self._c or self._d)
 
     def is_real(self) -> bool:
-        return self.c == 0 and self.d == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.d == 0
+        return not (self._c or self._d)
 
     def __add__(self, other: RingValue) -> RingValue:
         if not isinstance(other, RingValue):
             return NotImplemented
-        return RingValue(
-            self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
-        )
+        xn, yn = self._den, other._den
+        if xn == yn:
+            return _reduced(self._a + other._a, self._b + other._b,
+                            self._c + other._c, self._d + other._d, xn)
+        return _reduced(self._a * yn + other._a * xn, self._b * yn + other._b * xn,
+                        self._c * yn + other._c * xn, self._d * yn + other._d * xn, xn * yn)
 
     def __sub__(self, other: RingValue) -> RingValue:
         if not isinstance(other, RingValue):
             return NotImplemented
-        return RingValue(
-            self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d
-        )
+        return self + -other
 
     def __neg__(self) -> RingValue:
-        return RingValue(-self.a, -self.b, -self.c, -self.d)
+        return _new(-self._a, -self._b, -self._c, -self._d, self._den)
 
     def __mul__(self, other: RingValue) -> RingValue:
         if not isinstance(other, RingValue):
             return NotImplemented
-        xa, xb, xc, xd = self.a, self.b, self.c, self.d
-        ya, yb, yc, yd = other.a, other.b, other.c, other.d
-        return RingValue(
+        xa, xb, xc, xd = self._a, self._b, self._c, self._d
+        ya, yb, yc, yd = other._a, other._b, other._c, other._d
+        return _reduced(
             xa * ya + 2 * xb * yb - xc * yc - 2 * xd * yd,
             xa * yb + xb * ya - xc * yd - xd * yc,
             xa * yc + xc * ya + 2 * (xb * yd + xd * yb),
             xa * yd + xd * ya + xb * yc + xc * yb,
+            self._den * other._den,
         )
 
     def __truediv__(self, other: RingValue) -> RingValue:
@@ -122,22 +113,24 @@ class RingValue:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero ring value")
-        # Rationalize: multiply through by conj(y), leaving a real denominator
-        # a + b*sqrt2, then by its sqrt2-conjugate, leaving a nonzero rational.
-        t = other.conj()
-        num = self * t
-        den = other * t
-        num = num * RingValue(den.a, -den.b)
-        q = den.a * den.a - 2 * den.b * den.b
-        return RingValue(num.a / q, num.b / q, num.c / q, num.d / q)
+        # With y = Y/n: Y*conj(Y) = p + q*sqrt2 is real, and multiplying by
+        # its sqrt2-conjugate leaves p^2 - 2q^2 = |Y|^2 * |Y'|^2 > 0, where
+        # Y' is Y with sqrt2 negated.  So 1/y = n*conj(Y)*(p - q*sqrt2) /
+        # (p^2 - 2q^2), all in integers; the product below reduces it.
+        ya, yb, yc, yd, n = other._a, other._b, other._c, other._d, other._den
+        p = ya * ya + 2 * yb * yb + yc * yc + 2 * yd * yd
+        q = 2 * (ya * yb + yc * yd)
+        return self * _new(n * (ya * p - 2 * yb * q), n * (yb * p - ya * q),
+                           n * (2 * yd * q - yc * p), n * (yc * q - yd * p), p * p - 2 * q * q)
 
     def conj(self) -> RingValue:
         """Complex conjugate (negates the two imaginary components)."""
-        return RingValue(self.a, self.b, -self.c, -self.d)
+        return _new(self._a, self._b, -self._c, -self._d, self._den)
 
     def abs2(self) -> RingValue:
         """|x|^2 = x * conj(x); always real (c = d = 0)."""
-        return self * self.conj()
+        a, b, c, d, n = self._a, self._b, self._c, self._d, self._den
+        return _reduced(a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d), 0, 0, n * n)
 
     def inverse(self) -> RingValue:
         return ONE / self
@@ -147,16 +140,31 @@ class RingValue:
         if k == 0:
             return self
         if k == 1:
-            return RingValue(-self.c, -self.d, self.a, self.b)
+            return _new(-self._c, -self._d, self._a, self._b, self._den)
         if k == 2:
             return -self
-        return RingValue(self.c, self.d, -self.a, -self.b)
+        return _new(self._c, self._d, -self._a, -self._b, self._den)
 
     def to_complex(self) -> complex:
         r2 = 2.0**0.5
-        return complex(
-            float(self.a) + float(self.b) * r2, float(self.c) + float(self.d) * r2
-        )
+        n = self._den
+        return complex(self._a / n + (self._b / n) * r2, self._c / n + (self._d / n) * r2)
+
+
+def _new(a: int, b: int, c: int, d: int, n: int) -> RingValue:
+    """A RingValue from integers taken as they are (n > 0)."""
+    x = object.__new__(RingValue)
+    x._a, x._b, x._c, x._d, x._den, x._h = a, b, c, d, n, None
+    return x
+
+
+def _reduced(a: int, b: int, c: int, d: int, n: int) -> RingValue:
+    """A RingValue from integers with n > 0, divided by their gcd."""
+    if n != 1:
+        g = gcd(n, a, b, c, d)
+        if g != 1:
+            return _new(a // g, b // g, c // g, d // g, n // g)
+    return _new(a, b, c, d, n)
 
 
 ZERO = RingValue()
@@ -164,8 +172,8 @@ ONE = RingValue(1)
 MINUS_ONE = RingValue(-1)
 I_UNIT = RingValue(0, 0, 1)
 SQRT2 = RingValue(0, 1)
-INV_SQRT2 = RingValue(0, _HALF)
-OMEGA = RingValue(0, _HALF, 0, _HALF)
+INV_SQRT2 = RingValue(0, Fraction(1, 2))
+OMEGA = RingValue(0, Fraction(1, 2), 0, Fraction(1, 2))
 
 _OMEGA_POWERS: list[RingValue] = [ONE]
 for _ in range(7):
@@ -177,11 +185,19 @@ def omega_power(k: int) -> RingValue:
     return _OMEGA_POWERS[k & 7]
 
 
+def _reduced_components(x: RingValue):
+    """(numerator, denominator) of each of the four reduced components."""
+    n = x._den
+    for v in (x._a, x._b, x._c, x._d):
+        g = gcd(v, n)
+        yield v // g, n // g
+
+
 def within_coeff_bound(x: RingValue, k: int) -> bool:
     """All eight integers of the reduced components bounded by 2**k."""
     bound = 1 << k
-    for f in (x.a, x.b, x.c, x.d):
-        if abs(f.numerator) > bound or f.denominator > bound:
+    for num, den in _reduced_components(x):
+        if abs(num) > bound or den > bound:
             return False
     return True
 
@@ -210,16 +226,14 @@ def in_sqrt2_lattice(x: RingValue, n: int, t: int) -> bool:
         return False
     big = 1 << (n + t)
     small = big >> 1
-    return (
-        abs(l) <= big and abs(lp) <= big and abs(m) <= small and abs(mp) <= small
-    )
+    return abs(l) <= big and abs(lp) <= big and abs(m) <= small and abs(mp) <= small
 
 
 def bit_size(x: RingValue) -> int:
     """Max bit length over the four numerators and denominators."""
     out = 1
-    for f in (x.a, x.b, x.c, x.d):
-        out = max(out, abs(f.numerator).bit_length(), f.denominator.bit_length())
+    for num, den in _reduced_components(x):
+        out = max(out, abs(num).bit_length(), den.bit_length())
     return out
 
 
@@ -231,15 +245,8 @@ def _frac_str(f: Fraction) -> str:
 
 def render(x: RingValue) -> str:
     """Symbolic rendering, e.g. ``1/4 + 1/8*sqrt2`` or ``1*i``; ``0`` if zero."""
-    parts: list[tuple[Fraction, str]] = []
-    if x.a != 0:
-        parts.append((x.a, ""))
-    if x.b != 0:
-        parts.append((x.b, "*sqrt2"))
-    if x.c != 0:
-        parts.append((x.c, "*i"))
-    if x.d != 0:
-        parts.append((x.d, "*i*sqrt2"))
+    comps = zip((x.a, x.b, x.c, x.d), ("", "*sqrt2", "*i", "*i*sqrt2"))
+    parts = [(f, suffix) for f, suffix in comps if f != 0]
     if not parts:
         return "0"
     out = []
@@ -331,9 +338,17 @@ class CoeffPolicy:
             raise ValueError("tolerance must be non-negative")
 
 
-def float_equal(x: complex, y: complex, policy: CoeffPolicy) -> bool:
-    """Absolute-tolerance equality on complex doubles."""
-    return abs(complex(x) - complex(y)) <= policy.tolerance
+def _argmin_cmp(x: RingValue, y: RingValue) -> int:
+    """Canonicalization preference: smallest complex magnitude first
+    (compared exactly), then small components, then positive signs."""
+    mx, my = x.abs2(), y.abs2()
+    s = real_sign(mx._a * my._den - my._a * mx._den, mx._b * my._den - my._b * mx._den)
+    if s:
+        return s
+    xs, ys = (x._a, x._b, x._c, x._d), (y._a, y._b, y._c, y._d)
+    kx = [abs(u) * y._den for u in xs] + [u < 0 for u in xs]
+    ky = [abs(v) * x._den for v in ys] + [v < 0 for v in ys]
+    return (kx > ky) - (kx < ky)
 
 
 class ExactOps:
@@ -402,22 +417,7 @@ class ExactOps:
     def order_key(x: RingValue):
         return (x.a, x.b, x.c, x.d)
 
-    @staticmethod
-    def argmin_key(x: RingValue):
-        # Canonicalization preference: smallest complex magnitude first
-        # (compared exactly), then small components, then positive signs.
-        m = x.abs2()
-        return (
-            RealOrder(m.a, m.b),
-            abs(x.a),
-            abs(x.b),
-            abs(x.c),
-            abs(x.d),
-            x.a < 0,
-            x.b < 0,
-            x.c < 0,
-            x.d < 0,
-        )
+    argmin_key = staticmethod(cmp_to_key(_argmin_cmp))
 
     @staticmethod
     def to_complex(x: RingValue) -> complex:

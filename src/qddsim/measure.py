@@ -77,18 +77,18 @@ def probability_as_decimal(p: object, digits: int = 30) -> Decimal:
 
 def sample(state: State, qubit: int = 0, rng: random.Random | int | None = None) -> int:
     """Draw one measurement outcome for the qubit; the state is not changed."""
-    if not isinstance(rng, random.Random):
-        rng = random.Random(rng)
-    p0 = probability_as_decimal(measurement_probability(state, qubit))
-    return 0 if Decimal(repr(rng.random())) < p0 else 1
+    return sample_counts(state, qubit, 1, rng)[1]
 
 
 def sample_counts(
     state: State, qubit: int = 0, shots: int = 1, rng: random.Random | int | None = None
 ) -> tuple[int, int]:
+    """(zeros, ones) over ``shots`` draws.  The probability is computed once;
+    each shot reads 1 when its uniform draw is not below p0."""
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
-    ones = sum(sample(state, qubit, rng) for _ in range(shots))
+    p0 = probability_as_decimal(measurement_probability(state, qubit))
+    ones = sum(Decimal(repr(rng.random())) >= p0 for _ in range(shots))
     return shots - ones, ones
 
 

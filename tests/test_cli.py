@@ -138,6 +138,24 @@ def test_simulate_exit_one_on_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_exit_one_on_resource_errors(tmp_path, capsys, monkeypatch):
+    deep = tmp_path / "deep.qasm"
+    deep.write_text("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[600];\nh q[599];\n")
+    assert main(["simulate", str(deep)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: RecursionError") and err.count("\n") == 1
+
+    import qddsim.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "simulate", exhausted)
+    assert main(["simulate", str(deep)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MemoryError") and err.count("\n") == 1
+
+
 def test_exit_two_on_check_violation(qasm_file, capsys, monkeypatch):
     import qddsim.gates as gates
 

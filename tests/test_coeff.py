@@ -1,6 +1,7 @@
 """Ring arithmetic, membership predicates and scalar-backend policies."""
 from __future__ import annotations
 
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction as F
@@ -23,7 +24,6 @@ from qddsim.coeff import (
     RealOrder,
     RingValue,
     bit_size,
-    float_equal,
     in_sqrt2_lattice,
     omega_power,
     real_decimal,
@@ -188,11 +188,12 @@ def test_coeff_policy_validation():
 
 
 def test_float_equal():
-    pol = CoeffPolicy("float", 1e-14)
-    assert float_equal(0.3 + 0j, 0.3 + 0j, pol)
-    assert float_equal(0j, 1e-16 + 0j, pol)
-    assert not float_equal(0j, 1e-16 + 0j, CoeffPolicy("float", 0.0))
-    assert not float_equal(0j, 1e-12 + 0j, pol)
+    ops = scalar_ops(CoeffPolicy("float", 1e-14))
+    assert ops.eq(0.3 + 0j, 0.3 + 0j)
+    assert ops.eq(0j, 1e-16 + 0j)
+    assert not FloatOps(0.0).eq(0j, 1e-16 + 0j)
+    assert FloatOps(0.0).eq(0.25 + 0.5j, 0.25 + 0.5j)
+    assert not ops.eq(0j, 1e-12 + 0j)
 
 
 def test_scalar_ops_dispatch():
@@ -293,3 +294,116 @@ def test_single_operation_growth_bound():
         assert bit_size(x * y) <= budget
         if not y.is_zero():
             assert bit_size(x / y) <= budget
+
+
+# -- differential check against a four-Fraction reference ----------------------
+#
+# The reference keeps a value as four reduced Fractions (a, b, c, d) of
+# a + b*sqrt2 + i*(c + d*sqrt2), the representation RingValue once used.
+
+def ref_mul(x, y):
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    return (
+        xa * ya + 2 * xb * yb - xc * yc - 2 * xd * yd,
+        xa * yb + xb * ya - xc * yd - xd * yc,
+        xa * yc + xc * ya + 2 * (xb * yd + xd * yb),
+        xa * yd + xd * ya + xb * yc + xc * yb,
+    )
+
+
+def ref_conj(x):
+    return (x[0], x[1], -x[2], -x[3])
+
+
+def ref_div(x, y):
+    t = ref_conj(y)
+    num, den = ref_mul(x, t), ref_mul(y, t)
+    num = ref_mul(num, (den[0], -den[1], F(0), F(0)))
+    q = den[0] * den[0] - 2 * den[1] * den[1]
+    return tuple(v / q for v in num)
+
+
+def ref_times_i_power(x, k):
+    for _ in range(k & 3):
+        x = (-x[2], -x[3], x[0], x[1])
+    return x
+
+
+def ref_bit_size(x):
+    return max([1] + [max(abs(f.numerator).bit_length(), f.denominator.bit_length()) for f in x])
+
+
+def ref_within_coeff_bound(x, k):
+    return all(abs(f.numerator) <= 1 << k and f.denominator <= 1 << k for f in x)
+
+
+def ref_in_sqrt2_lattice(x, n, t):
+    s = 1 << (t // 2)
+    l, m, lp, mp = (x[0] * s, x[1] * s, x[2] * s, x[3] * s) if t % 2 == 0 else (
+        2 * x[1] * s, x[0] * s, 2 * x[3] * s, x[2] * s)
+    if any(f.denominator != 1 for f in (l, m, lp, mp)) or (t == 0 and (m or mp)):
+        return False
+    big = 1 << (n + t)
+    return max(abs(l), abs(lp)) <= big and max(abs(m), abs(mp)) <= big >> 1
+
+
+def ref_argmin_key(x):
+    m = ref_mul(x, ref_conj(x))
+    return (RealOrder(m[0], m[1]), *map(abs, x), *(f < 0 for f in x))
+
+
+def assert_matches(got: RingValue, want: tuple) -> None:
+    a, b, c, d, den = got._a, got._b, got._c, got._d, got._den
+    assert den > 0 and math.gcd(a, b, c, d, den) == 1
+    assert (got.a, got.b, got.c, got.d) == want
+    rebuilt = RingValue(*want)
+    assert rebuilt == got and hash(rebuilt) == hash(got)
+    assert bit_size(got) == ref_bit_size(want)
+    for k in range(6):
+        assert within_coeff_bound(got, k) == ref_within_coeff_bound(want, k)
+    for n in range(3):
+        for t in range(4):
+            assert in_sqrt2_lattice(got, n, t) == ref_in_sqrt2_lattice(want, n, t)
+
+
+# non-dyadic denominators such as 1/3 and 2/5 arise from EVDD's b/a and LIMDD's 1/lambda
+ref_fraction_st = st.one_of(
+    st.fractions(min_value=-8, max_value=8, max_denominator=12),
+    st.sampled_from([F(1, 3), F(2, 5), F(-5, 7), F(3, 16)]),
+)
+quad_st = st.tuples(ref_fraction_st, ref_fraction_st, ref_fraction_st, ref_fraction_st)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quad_st, quad_st, st.integers(0, 7))
+def test_ring_matches_fraction_reference(xs, ys, k):
+    x, y = RingValue(*xs), RingValue(*ys)
+    assert_matches(x, xs)
+    pairs = [
+        (x + y, tuple(u + v for u, v in zip(xs, ys))),
+        (x - y, tuple(u - v for u, v in zip(xs, ys))),
+        (-x, tuple(-u for u in xs)),
+        (x * y, ref_mul(xs, ys)),
+        (x.conj(), ref_conj(xs)),
+        (x.abs2(), ref_mul(xs, ref_conj(xs))),
+        (x.times_i_power(k), ref_times_i_power(xs, k)),
+    ]
+    if any(ys):
+        pairs.append((x / y, ref_div(xs, ys)))
+        pairs.append((y.inverse(), ref_div((F(1), F(0), F(0), F(0)), ys)))
+    for got, want in pairs:
+        assert_matches(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quad_st, quad_st)
+def test_argmin_key_matches_fraction_reference(xs, ys):
+    x = RingValue(*xs)
+    # an unrelated value, then the candidates that tie on magnitude
+    others = [(RingValue(*ys), ys), (-x, tuple(-u for u in xs)), (x.conj(), ref_conj(xs)),
+              (x.times_i_power(1), ref_times_i_power(xs, 1))]
+    kx, rx = EXACT_OPS.argmin_key(x), ref_argmin_key(xs)
+    for y, y_ref in others:
+        ky, ry = EXACT_OPS.argmin_key(y), ref_argmin_key(y_ref)
+        assert (kx < ky, ky < kx, kx == ky) == (rx < ry, ry < rx, rx == ry)

@@ -106,6 +106,18 @@ def test_sample_counts_shape_and_distribution():
     assert (zeros, ones) == (1498, 502)
 
 
+def test_sample_counts_matches_per_shot_draws():
+    state, _ = simulate(gen_wstate(4))
+    rng = random.Random(2024)
+    ones = 0
+    for _ in range(256):
+        p0 = probability_as_decimal(measurement_probability(state, 2))
+        ones += Decimal(repr(rng.random())) >= p0
+    assert sample_counts(state, 2, shots=256, rng=2024) == (256 - ones, ones)
+    # counts of the per-shot implementation this replaced, seed 2024
+    assert (256 - ones, ones) == (196, 60)
+
+
 def test_certain_outcomes():
     plain = Circuit(2, (GateInstance("x", (0,)),))
     state, _ = simulate(plain)
