@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
-from functools import cmp_to_key, total_ordering
+from functools import cmp_to_key
 from math import gcd, lcm
 
 class RingValue:
@@ -272,16 +272,6 @@ def real_decimal(x: RingValue, digits: int = 30) -> Decimal:
         return v.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_EVEN)
 
 
-def to_decimal_str(x: RingValue, digits: int = 30) -> str:
-    """Decimal rendering at ``digits`` places, round-half-even."""
-    re = real_decimal(x, digits)
-    if x.is_real():
-        return str(re)
-    im = real_decimal(RingValue(x.c, x.d), digits)
-    sign = "+" if im >= 0 else "-"
-    return f"{re}{sign}{abs(im)}i"
-
-
 def real_sign(p: Fraction, q: Fraction) -> int:
     """Sign of p + q*sqrt2, decided exactly."""
     if p >= 0 and q >= 0:
@@ -291,31 +281,6 @@ def real_sign(p: Fraction, q: Fraction) -> int:
     # Opposite signs: the side with the larger square wins.
     big_p = 1 if p > 0 else -1
     return big_p if p * p > 2 * q * q else -big_p
-
-
-@total_ordering
-class RealOrder:
-    """Exactly ordered real value p + q*sqrt2, usable inside sort keys."""
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p: Fraction, q: Fraction) -> None:
-        self.p = p
-        self.q = q
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RealOrder):
-            return NotImplemented
-        return self.p == other.p and self.q == other.q
-
-    def __lt__(self, other: RealOrder) -> bool:
-        return real_sign(self.p - other.p, self.q - other.q) < 0
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
-
-    def __repr__(self) -> str:
-        return f"RealOrder({self.p}, {self.q})"
 
 
 @dataclass(frozen=True)
@@ -413,11 +378,16 @@ class ExactOps:
     def key(x: RingValue) -> RingValue:
         return x
 
-    @staticmethod
-    def order_key(x: RingValue):
-        return (x.a, x.b, x.c, x.d)
-
     argmin_key = staticmethod(cmp_to_key(_argmin_cmp))
+
+    @staticmethod
+    def leads_negative(x: RingValue) -> bool:
+        """Whether -x ranks before x under ``argmin_key``: the first nonzero
+        component of x is negative."""
+        for v in (x._a, x._b, x._c, x._d):
+            if v:
+                return v < 0
+        return False
 
     @staticmethod
     def to_complex(x: RingValue) -> complex:
@@ -503,10 +473,6 @@ class FloatOps:
         return (round(x.real / g), round(x.imag / g))
 
     @staticmethod
-    def order_key(x: complex):
-        return (x.real, x.imag)
-
-    @staticmethod
     def argmin_key(x: complex):
         return (
             x.real * x.real + x.imag * x.imag,
@@ -515,6 +481,11 @@ class FloatOps:
             x.real < 0,
             x.imag < 0,
         )
+
+    @staticmethod
+    def leads_negative(x: complex) -> bool:
+        """Whether -x ranks before x under ``argmin_key``."""
+        return x.real < 0 or (x.real == 0 and x.imag < 0)
 
     @staticmethod
     def to_complex(x: complex) -> complex:

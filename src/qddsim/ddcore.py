@@ -6,7 +6,10 @@ normalized by dividing out the low edge's weight.  In ``limdd`` mode labels
 are scalar-weighted Pauli strings; a node keeps an identity label on its low
 edge and a canonical label on its high edge, chosen as the minimum over the
 freedom the children's stabilizer groups allow, so states that differ only
-by a Pauli with a phase share one node.
+by a Pauli with a phase share one node.  Each node's group is cached as an
+echelon basis of integer-phase rows from the ``pauli`` group kernel; the
+double-coset and coset minimizations reduce against those bases and touch
+the scalar ring once, at the end.
 
 Zero branches are represented by edges whose label factor is the backend
 zero; free-standing zero edges point at the terminal and carry the level in
@@ -19,13 +22,19 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .coeff import CoeffPolicy, ScalarOps, bit_size, scalar_ops
 from .pauli import (
+    Basis,
     PauliLIM,
     PauliString,
+    combine,
+    echelon,
     follow_basis,
+    joint_echelon,
     lim_inverse,
     lim_key,
     lim_mul,
     lim_scale,
+    reduce_key,
+    row_mul,
     string_key,
 )
 
@@ -67,6 +76,11 @@ def _lift(lim: PauliLIM, n: int) -> PauliLIM:
     return PauliLIM(lim.factor, PauliString(n, lim.string.x, lim.string.z))
 
 
+def _times_i(ops: ScalarOps, factor: object, k: int) -> object:
+    """factor * i**k, with a ring multiply only when k is not 0 mod 4."""
+    return ops.mul(factor, ops.i_power(k)) if k & 3 else factor
+
+
 class DDStore:
     """Owner of the unique table, operation caches and garbage collector."""
 
@@ -94,7 +108,7 @@ class DDStore:
         self.next_id = 1
         self.add_cache: dict[tuple, Edge] = {}
         self.op_cache: dict[tuple, Edge] = {}
-        self.stab_cache: dict[int, tuple[PauliLIM, ...]] = {0: ()}
+        self.stab_cache: dict[int, Basis] = {0: ()}
         self.snorm_cache: dict[int, object] = {}
         self.peak_nodes = 1
         self.gc_capacity = gc_capacity
@@ -230,161 +244,106 @@ class DDStore:
         label (on one more qubit) that undoes the canonicalization.
 
         Stage 1 minimizes the Pauli string of g0 * a_hat * g1 over both
-        children's stabilizer groups by greedy XOR reduction of key integers.
-        Stage 2 sweeps a top-qubit Z flip and, when both children coincide, a
-        top-qubit X swap, and keeps the scalar the backend ranks smallest.
+        children's stabilizer groups: v0's cached rows seed a joint basis,
+        v1's rows are reduced into it, the key of a_hat is cleared top down,
+        and only then are the rows used multiplied, with phases kept as
+        powers of i.  Stage 2 sweeps a top-qubit Z flip and, when both
+        children coincide, a top-qubit X swap, and keeps the scalar the
+        backend ranks smallest.
         """
         ops = self.ops
-        m = a_hat.string.n
-        ident = self.identity_lim(m)
-        basis: dict[int, tuple[int, PauliLIM, PauliLIM]] = {}
-
-        def insert(key: int, left: PauliLIM, right: PauliLIM) -> None:
-            while key:
-                lead = key.bit_length() - 1
-                row = basis.get(lead)
-                if row is None:
-                    basis[lead] = (key, left, right)
-                    return
-                key ^= row[0]
-                left = lim_mul(ops, row[1], left)
-                right = lim_mul(ops, right, row[2])
-
-        for g in self.stab_gens(v0):
-            insert(string_key(g.string), g, ident)
-        for g in self.stab_gens(v1):
-            insert(string_key(g.string), ident, g)
-
-        cur = a_hat
-        key = string_key(a_hat.string)
-        left_total = ident
-        for lead in sorted(basis, reverse=True):
-            if (key >> lead) & 1:
-                row_key, left, right = basis[lead]
+        s = a_hat.string
+        m = s.n
+        basis0, basis1 = self.stab_gens(v0), self.stab_gens(v1)
+        rows, _ = joint_echelon(basis0, basis1)
+        key = string_key(s.x, s.z)
+        used = 0
+        for row_key, mask in rows:
+            if key ^ row_key < key:
                 key ^= row_key
-                cur = lim_mul(ops, left, lim_mul(ops, cur, right))
-                left_total = lim_mul(ops, left, left_total)
+                used ^= mask
+        n0 = len(basis0)
+        g0 = combine(basis0, used & ((1 << n0) - 1))
+        g1 = combine(basis1, used >> n0)
+        k, px, pz = row_mul(g0, row_mul((0, s.x, s.z), g1))
+        lam = _times_i(ops, a_hat.factor, k)
 
-        lam = cur.factor
-        p = cur.string
-        candidates: list[tuple[int, int, object]] = [
-            (0, 0, lam),
-            (0, 1, ops.neg(lam)),
-        ]
+        # lam and -lam tie on magnitude and on absolute components, so the
+        # sign alone decides between them.
+        s_bit = ops.leads_negative(lam)
+        mu = ops.neg(lam) if s_bit else lam
+        x_bit = False
         if v0 is v1:
             inv_lam = ops.inv(lam)
-            candidates.append((1, 0, inv_lam))
-            candidates.append((1, 1, ops.neg(inv_lam)))
-        best = candidates[0]
-        best_key = ops.argmin_key(best[2])
-        for cand in candidates[1:]:
-            k = ops.argmin_key(cand[2])
-            if k < best_key:
-                best, best_key = cand, k
-        x_bit, s_bit, mu = best
+            inv_neg = ops.leads_negative(inv_lam)
+            inv_mu = ops.neg(inv_lam) if inv_neg else inv_lam
+            if ops.argmin_key(inv_mu) < ops.argmin_key(mu):
+                x_bit, s_bit, mu = True, inv_neg, inv_mu
 
-        g0_inv = _lift(lim_inverse(ops, left_total), m + 1)
-        z_top = PauliLIM(ops.one, PauliString.z_at(m + 1, m))
+        # g0 is a product of commuting +/-1 stabilizers, so it is its own
+        # inverse.
+        top = 1 << m
         if x_bit:
-            swap_lim = PauliLIM(lam, PauliString(m + 1, p.x | (1 << m), p.z))
-            root = lim_mul(ops, g0_inv, swap_lim)
+            root = row_mul(g0, (0, px | top, pz))
             if s_bit:
-                root = lim_mul(ops, root, z_top)
+                root = row_mul(root, (0, 0, top))
+            factor = _times_i(ops, lam, root[0])
         else:
-            root = g0_inv
-            if s_bit:
-                root = lim_mul(ops, z_top, root)
-        return PauliLIM(mu, p), root
+            root = (g0[0], g0[1], g0[2] | top) if s_bit else g0
+            factor = ops.i_power(root[0])
+        return (
+            PauliLIM(mu, PauliString(m, px, pz)),
+            PauliLIM(factor, PauliString(m + 1, root[1], root[2])),
+        )
 
-    # -- stabilizer generators --------------------------------------------
+    # -- stabilizer groups -------------------------------------------------
 
-    def stab_gens(self, node: Node) -> tuple[PauliLIM, ...]:
-        """Generators of the Pauli stabilizer group of the node's state.
+    def stab_gens(self, node: Node) -> Basis:
+        """Echelon basis of the Pauli stabilizer group of the node's state.
 
-        Factors are +/-1.  Memoized per node; the groups are abelian and
-        never contain -identity, so every member is determined by its string.
+        Rows are (k, x, z) with k in {0, 2}, memoized per node; the groups
+        are abelian and never contain -identity, so every member is
+        determined by its string.
         """
         if self.mode != "limdd":
             raise DiagramError("stabilizer generators exist only in limdd mode")
         cached = self.stab_cache.get(node.id)
         if cached is not None:
             return cached
-        ops = self.ops
-        level = node.level
-        top = level - 1
+        top = 1 << (node.level - 1)
         low, high = node.low, node.high
-        gens: list[PauliLIM]
         if self.is_zero(high):
-            gens = [PauliLIM(ops.one, PauliString.z_at(level, top))]
-            for g in self.stab_gens(low.node):
-                gens.append(_lift(g, level))
+            # Z on the top qubit leads every key of the group below.
+            out = ((string_key(0, top), (0, 0, top)),) + self.stab_gens(low.node)
         else:
             v0, v1 = low.node, high.node
-            c = high.lim
+            c = high.lim.string
             below = self.stab_gens(v0)
-            # Conjugating by the high label only flips signs of members that
-            # anticommute with its string.
+            # Conjugating by the high label flips the sign of the members
+            # that anticommute with its string.
             rotated = []
-            for g in self.stab_gens(v1):
-                anti = ((g.string.x & c.string.z).bit_count()
-                        + (g.string.z & c.string.x).bit_count()) & 1
-                rotated.append(PauliLIM(ops.neg(g.factor) if anti else g.factor,
-                                        g.string))
+            for key, (k, x, z) in self.stab_gens(v1):
+                if ((x & c.z) ^ (z & c.x)).bit_count() & 1:
+                    k ^= 2
+                rotated.append((key, (k, x, z)))
+            _, common = joint_echelon(below, rotated)
+            # A string both branches share extends by I on top when the two
+            # members agree in sign, by Z when they differ.
+            n0 = len(below)
             gens = []
-            seen: set[int] = set()
-            ident = self.identity_lim(top)
-            basis: dict[int, tuple[int, PauliLIM, PauliLIM]] = {}
-
-            def insert(key: int, a: PauliLIM, b: PauliLIM):
-                while key:
-                    lead = key.bit_length() - 1
-                    row = basis.get(lead)
-                    if row is None:
-                        basis[lead] = (key, a, b)
-                        return None
-                    key ^= row[0]
-                    a = lim_mul(ops, row[1], a)
-                    b = lim_mul(ops, row[2], b)
-                return a, b
-
-            for g in below:
-                insert(string_key(g.string), g, ident)
-            for g in rotated:
-                out = insert(string_key(g.string), ident, g)
-                if out is None:
-                    continue
-                a, b = out
-                # Full reduction: a and b share one string, a stabilizes the
-                # low branch, b the high branch.
-                p = a.string
-                if p.is_identity() or string_key(p) in seen:
-                    continue
-                seen.add(string_key(p))
-                z = p.z if ops.eq(a.factor, b.factor) else p.z | (1 << top)
-                gens.append(PauliLIM(a.factor, PauliString(level, p.x, z)))
+            for mask in common:
+                k, x, z = combine(below, mask & ((1 << n0) - 1))
+                same = combine(rotated, mask >> n0)[0] == k
+                gens.append((k, x, z if same else z | top))
             if v0 is v1:
-                gamma = c.factor
-                p = c.string
-                i_unit = ops.i_power(1)
-                if ops.eq(gamma, ops.one) or ops.eq(gamma, ops.neg(ops.one)):
-                    gens.append(
-                        PauliLIM(gamma, PauliString(level, p.x | (1 << top), p.z))
-                    )
-                elif ops.eq(gamma, i_unit):
-                    gens.append(
-                        PauliLIM(
-                            ops.one,
-                            PauliString(level, p.x | (1 << top), p.z | (1 << top)),
-                        )
-                    )
-                elif ops.eq(gamma, ops.neg(i_unit)):
-                    gens.append(
-                        PauliLIM(
-                            ops.neg(ops.one),
-                            PauliString(level, p.x | (1 << top), p.z | (1 << top)),
-                        )
-                    )
-        out = tuple(gens)
+                ops = self.ops
+                gamma = high.lim.factor
+                for k in range(4):
+                    if ops.eq(gamma, ops.i_power(k)):
+                        # gamma = +/-1 gives +/-X on top, gamma = +/-i gives +/-Y.
+                        gens.append((k & 2, c.x | top, c.z | (top if k & 1 else 0)))
+                        break
+            out = echelon(gens)
         self.stab_cache[node.id] = out
         return out
 
@@ -469,25 +428,11 @@ class DDStore:
     def _coset_min(self, c: PauliLIM, w: Node) -> PauliLIM:
         """Minimal-string representative of c * <Stab(w)>; unique because a
         stabilizer group holds at most one member per string."""
-        ops = self.ops
-        basis: dict[int, tuple[int, PauliLIM]] = {}
-        for g in self.stab_gens(w):
-            key, cur = string_key(g.string), g
-            while key:
-                lead = key.bit_length() - 1
-                row = basis.get(lead)
-                if row is None:
-                    basis[lead] = (key, cur)
-                    break
-                key ^= row[0]
-                cur = lim_mul(ops, cur, row[1])
-        key = string_key(c.string)
-        for lead in sorted(basis, reverse=True):
-            if (key >> lead) & 1:
-                row_key, g = basis[lead]
-                key ^= row_key
-                c = lim_mul(ops, c, g)
-        return c
+        s = c.string
+        basis = self.stab_gens(w)
+        _, used = reduce_key(basis, string_key(s.x, s.z))
+        k, x, z = row_mul((0, s.x, s.z), combine(basis, used))
+        return PauliLIM(_times_i(self.ops, c.factor, k), PauliString(s.n, x, z))
 
     # -- statistics, checking, reclamation ---------------------------------
 

@@ -1,19 +1,30 @@
-"""Pauli strings in symplectic form and scalar-weighted Pauli labels.
+"""Pauli strings in symplectic form, scalar-weighted Pauli labels, and the
+Pauli-group kernel that label canonicalization and the tableau share.
 
 A string on ``n`` qubits is a pair of bitmasks ``(x, z)``: bit ``k-1`` holds
 qubit ``k``, with qubit ``n`` (bit ``n-1``) the topmost.  Position codes order
 the single-qubit letters I < X < Y < Z; the code map is chosen so that the
-code bits of a product are the XOR of the factors' code bits, which turns
-lexicographic minimization over a subgroup coset into greedy reduction
-against an XOR basis of key integers.
+code bits of a product are the XOR of the factors' code bits.  ``string_key``
+interleaves the codes, top qubit highest, so numeric key order is the
+lexicographic order of strings and the XOR of two keys is their product's key.
 
-Sign and phase bookkeeping uses quarter turns (powers of i) for products and
-eighth turns (powers of omega) where non-Clifford diagonal gates commute
-past a label.
+The group kernel works on rows ``(k, x, z)``: i**k times the string, with k
+an integer mod 4, so products never touch the scalar ring (``row_mul`` applies
+the phase rule of ``lim_mul`` to the exponent).  A subgroup is an echelon
+basis: ``(key, row)`` pairs whose keys have distinct leading bits, sorted
+descending.  ``echelon`` builds one; ``reduce_key`` clears a key against one
+top down, which finds the minimal string of a coset; ``joint_echelon`` spans
+two groups at once, for double cosets and for the strings two groups share.
+The reductions work on keys alone and record which rows they took as a
+bitmask, and ``combine`` multiplies the rows of a mask once, at the end.
+
+Sign and phase bookkeeping of scaled labels uses quarter turns (powers of i)
+for products and eighth turns (powers of omega) where non-Clifford diagonal
+gates commute past a label.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .coeff import ScalarOps
 
@@ -78,10 +89,105 @@ def _spread(v: int) -> int:
     return out
 
 
-def string_key(s: PauliString) -> int:
+def string_key(x: int, z: int) -> int:
     """Integer whose numeric order equals lexicographic order of the string
     read from the top qubit down, and whose XOR matches string products."""
-    return _spread(s.x ^ s.z) | (_spread(s.z) << 1)
+    return _spread(x ^ z) | (_spread(z) << 1)
+
+
+# -- group kernel --------------------------------------------------------------
+
+Row = tuple[int, int, int]  # (k, x, z): i**k times the string (x, z)
+Basis = tuple[tuple[int, Row], ...]  # (key, row), distinct leads, keys descending
+
+IDENTITY_ROW: Row = (0, 0, 0)
+
+
+def row_mul(r1: Row, r2: Row) -> Row:
+    """Product of two rows; the phase rule of ``lim_mul`` on exponents."""
+    k1, x1, z1 = r1
+    k2, x2, z2 = r2
+    x = x1 ^ x2
+    z = z1 ^ z2
+    return (
+        (k1 + k2 + (x1 & z1).bit_count() + (x2 & z2).bit_count()
+         + 2 * (z1 & x2).bit_count() - (x & z).bit_count()) & 3,
+        x,
+        z,
+    )
+
+
+def echelon(rows: Iterable[Row]) -> Basis:
+    """Echelon basis of the abelian group the rows generate; rows that
+    reduce to the identity string are dependent and dropped."""
+    basis: dict[int, tuple[int, Row]] = {}
+    for row in rows:
+        key = string_key(row[1], row[2])
+        while key:
+            lead = key.bit_length() - 1
+            have = basis.get(lead)
+            if have is None:
+                basis[lead] = (key, row)
+                break
+            key ^= have[0]
+            row = row_mul(row, have[1])
+    return tuple(basis[lead] for lead in sorted(basis, reverse=True))
+
+
+def reduce_key(basis: Basis, key: int) -> tuple[int, int]:
+    """Clear the key's bits against the basis, top down.  Returns the
+    remaining key, the least over the key's coset, and the mask of the rows
+    used, bit i for ``basis[i]``."""
+    used = 0
+    for i, (row_key, _) in enumerate(basis):
+        if key ^ row_key < key:  # the row's leading bit is set in key
+            key ^= row_key
+            used |= 1 << i
+    return key, used
+
+
+def joint_echelon(
+    basis0: Basis, basis1: Basis
+) -> tuple[tuple[tuple[int, int], ...], list[int]]:
+    """Span of the strings of two groups, rows tracked as GF(2) masks.
+
+    Bit i of a mask selects ``basis0[i]`` and bit ``len(basis0) + j`` selects
+    ``basis1[j]``.  Returns the span's echelon rows as ``(key, mask)`` pairs,
+    keys descending, and ``common``, the masks of the ``basis1`` rows that
+    reduced to nothing: the two groups' shares of such a mask have equal
+    strings, and those strings generate the ones the groups have in common.
+    """
+    rows = {key.bit_length() - 1: (key, 1 << i) for i, (key, _) in enumerate(basis0)}
+    common: list[int] = []
+    for j, (key, _) in enumerate(basis1, len(basis0)):
+        mask = 1 << j
+        while key:
+            lead = key.bit_length() - 1
+            have = rows.get(lead)
+            if have is None:
+                rows[lead] = (key, mask)
+                break
+            key ^= have[0]
+            mask ^= have[1]
+        else:
+            common.append(mask)
+    return tuple(rows[lead] for lead in sorted(rows, reverse=True)), common
+
+
+def combine(basis: Basis, mask: int) -> Row:
+    """Product of the rows the mask selects, bit i for ``basis[i]``, in
+    index order.  The phase rule of ``row_mul``, summed: each row's own Y
+    count, a sign for each Z already collected meeting the row's X, and the
+    product's Y count taken back once at the end."""
+    k = x = z = 0
+    while mask:
+        low = mask & -mask
+        rk, rx, rz = basis[low.bit_length() - 1][1]
+        k += rk + (rx & rz).bit_count() + 2 * (z & rx).bit_count()
+        x ^= rx
+        z ^= rz
+        mask ^= low
+    return ((k - (x & z).bit_count()) & 3, x, z)
 
 
 class PauliLIM(NamedTuple):
@@ -133,17 +239,6 @@ def lim_scale(ops: ScalarOps, scalar: object, lim: PauliLIM) -> PauliLIM:
 def lim_key(ops: ScalarOps, lim: PauliLIM) -> tuple:
     """Hashable identity of a label under the backend's equality."""
     return (ops.key(lim.factor), lim.string.x, lim.string.z)
-
-
-def lim_lex_compare(ops: ScalarOps, l1: PauliLIM, l2: PauliLIM) -> int:
-    """-1, 0, 1 ordering by string first, then component order of factors."""
-    k1, k2 = string_key(l1.string), string_key(l2.string)
-    if k1 != k2:
-        return -1 if k1 < k2 else 1
-    o1, o2 = ops.order_key(l1.factor), ops.order_key(l2.factor)
-    if o1 == o2:
-        return 0
-    return -1 if o1 < o2 else 1
 
 
 def conj_bits(

@@ -9,44 +9,25 @@ surviving rows) upper-bounds the log of the widest diagram level in limdd
 mode; the local nullity (qubits minus positions still pinned by a weight-one
 row in the string span) plays the same role for evdd mode.
 
-Rows are (sign, x, z) with sign in {0, 1}; stabilizer groups are abelian and
-never contain minus identity, so products are order-independent and every
-member is fixed by its string.
+Rows are kernel rows (k, x, z) of ``pauli`` with k in {0, 2}: i**k times
+the string.  Stabilizer groups are abelian and never contain minus identity,
+so products are order-independent and every member is fixed by its string.
+Membership and the local nullity reduce strings against the group's echelon
+basis; the nullities are ranks, so they do not depend on the key order.
 """
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .pauli import conj_bits
+from .pauli import Basis, Row, combine, conj_bits, echelon, reduce_key, row_mul, string_key
 
 _CLIFFORD_KINDS = frozenset({"h", "s", "sdg", "x", "y", "z", "cz", "cx", "swap"})
 
-Row = tuple[int, int, int]  # (sign, x, z)
 
-
-def _row_mul(r1: Row, r2: Row) -> Row:
-    s1, x1, z1 = r1
-    s2, x2, z2 = r2
-    x, z = x1 ^ x2, z1 ^ z2
-    f = (
-        (x1 & z1).bit_count()
-        + (x2 & z2).bit_count()
-        + 2 * (z1 & x2).bit_count()
-        - (x & z).bit_count()
-    ) & 3
-    # Rows commute, so the phase is +/-1.
-    return (s1 ^ s2 ^ (f >> 1), x, z)
-
-
-def _interleave(x: int, z: int) -> int:
-    key = 0
-    shift = 0
-    while x or z:
-        key |= ((x & 1) | ((z & 1) << 1)) << shift
-        x >>= 1
-        z >>= 1
-        shift += 2
-    return key
+def _member(basis: Basis, x: int, z: int) -> Row | None:
+    """Member of the group with the given string, or None."""
+    key, used = reduce_key(basis, string_key(x, z))
+    return combine(basis, used) if key == 0 else None
 
 
 class StabilizerTableau:
@@ -60,39 +41,9 @@ class StabilizerTableau:
 
     # -- membership --------------------------------------------------------
 
-    def _string_basis(self) -> dict[int, Row]:
-        basis: dict[int, Row] = {}
-        for row in self.rows:
-            cur = row
-            key = _interleave(cur[1], cur[2])
-            while key:
-                lead = key.bit_length() - 1
-                have = basis.get(lead)
-                if have is None:
-                    basis[lead] = cur
-                    break
-                key ^= _interleave(have[1], have[2])
-                cur = _row_mul(cur, have)
-        return basis
-
-    def _reduce_string(
-        self, basis: dict[int, Row], x: int, z: int
-    ) -> Row | None:
-        """Member of the group with the given string, or None."""
-        acc: Row = (0, 0, 0)
-        key = _interleave(x, z)
-        while key:
-            lead = key.bit_length() - 1
-            have = basis.get(lead)
-            if have is None:
-                return None
-            key ^= _interleave(have[1], have[2])
-            acc = _row_mul(acc, have)
-        return acc
-
     def contains(self, sign: int, x: int, z: int) -> bool:
-        member = self._reduce_string(self._string_basis(), x, z)
-        return member is not None and member[0] == sign
+        member = _member(echelon(self.rows), x, z)
+        return member is not None and member[0] == 2 * sign
 
     # -- gate updates ------------------------------------------------------
 
@@ -101,8 +52,8 @@ class StabilizerTableau:
         rows were dropped."""
         if kind in _CLIFFORD_KINDS:
             self.rows = [
-                (s ^ flip, x2, z2)
-                for (s, x, z) in self.rows
+                (k ^ (flip << 1), x2, z2)
+                for (k, x, z) in self.rows
                 for (x2, z2, flip) in (conj_bits(kind, bits, x, z),)
             ]
             return 0
@@ -122,18 +73,18 @@ class StabilizerTableau:
                 if pivot is None:
                     pivot = row
                 else:
-                    kept.append(_row_mul(row, pivot))
+                    kept.append(row_mul(row, pivot))
             else:
                 kept.append(row)
         self.rows = kept
         return 0 if pivot is None else 1
 
     def _apply_toffoli(self, c1: int, c2: int, t: int) -> int:
-        basis = self._string_basis()
+        basis = echelon(self.rows)
 
         def signed_in(sign: int, x: int, z: int) -> bool:
-            member = self._reduce_string(basis, x, z)
-            return member is not None and member[0] == sign
+            member = _member(basis, x, z)
+            return member is not None and member[0] == 2 * sign
 
         # The gate degenerates to a Clifford whenever a control is pinned to
         # a basis value or the target is pinned to an x eigenstate.
@@ -160,11 +111,11 @@ class StabilizerTableau:
 
     def local_nullity(self) -> int:
         """Qubits not pinned by any weight-one string in the group's span."""
-        basis = self._string_basis()
+        basis = echelon(self.rows)
         pinned = 0
         for k in range(self.n):
             for x, z in ((1 << k, 0), (1 << k, 1 << k), (0, 1 << k)):
-                if self._reduce_string(basis, x, z) is not None:
+                if _member(basis, x, z) is not None:
                     pinned += 1
                     break
         return self.n - pinned

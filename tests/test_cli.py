@@ -4,6 +4,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -193,6 +196,19 @@ def test_bounds_command(qasm_file, capsys):
         "bounds", qasm_file(LEADING), "--native-ccx",
     ])
     assert code == 0 and native["native_ccx"] is True
+
+
+@pytest.mark.parametrize("module", ["qddsim", "qddsim.cli"])
+def test_python_dash_m_runs_the_cli(qasm_file, module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "bounds", qasm_file(LEADING)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["limdd_width_bound"] == 4
 
 
 # -- compare ---------------------------------------------------------------

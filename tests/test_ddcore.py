@@ -7,6 +7,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qddsim import GateInstance, dense_simulate, gen_random, simulate
 from qddsim.coeff import (
@@ -15,13 +17,14 @@ from qddsim.coeff import (
     MINUS_ONE,
     OMEGA,
     ONE,
+    SQRT2,
     ZERO,
     CoeffPolicy,
     RingValue,
     omega_power,
 )
 from qddsim.ddcore import DDStore, DiagramError, Edge
-from qddsim.pauli import PauliLIM, PauliString, lim_mul
+from qddsim.pauli import PauliLIM, PauliString, lim_mul, string_key
 
 from conftest import random_corpus
 
@@ -306,20 +309,13 @@ def brute_force_group(vec: list) -> set:
 
 
 def expand_generators(store: DDStore, node) -> set:
-    gens = store.stab_gens(node)
+    """The whole group the node's cached rows generate, as (x, z, omega
+    exponent) triples, closed under ``lim_mul`` rather than the kernel's own
+    row product (small groups only)."""
     n = node.level
-    group = {(0, 0, 0)}
-    frontier = [(0, 0, 0)]
-    table = {}
-    for g in gens:
-        key = (g.string.x, g.string.z)
-        exp = {ONE: 0, I_UNIT: 2, MINUS_ONE: 4, -I_UNIT: 6}[g.factor]
-        table[key] = exp
-    # close under multiplication (small groups only)
+    exps = {ONE: 0, I_UNIT: 2, MINUS_ONE: 4, -I_UNIT: 6}
+    elems = {(0, 0, 0)} | {(x, z, 2 * k) for _, (k, x, z) in store.stab_gens(node)}
     changed = True
-    elems = {(0, 0, 0)}
-    for key, exp in table.items():
-        elems.add((key[0], key[1], exp))
     while changed:
         changed = False
         current = list(elems)
@@ -328,8 +324,7 @@ def expand_generators(store: DDStore, node) -> set:
                 l1 = PauliLIM(omega_power(e1), PauliString(n, x1, z1))
                 l2 = PauliLIM(omega_power(e2), PauliString(n, x2, z2))
                 prod = lim_mul(EXACT_OPS, l1, l2)
-                exp = {ONE: 0, I_UNIT: 2, MINUS_ONE: 4, -I_UNIT: 6}[prod.factor]
-                key = (prod.string.x, prod.string.z, exp)
+                key = (prod.string.x, prod.string.z, exps[prod.factor])
                 if key not in elems:
                     elems.add(key)
                     changed = True
@@ -340,8 +335,10 @@ def test_stab_gens_pinned():
     store = fresh("limdd")
     assert store.stab_gens(store.terminal) == ()
     ket0 = store.make_edge(store.terminal_edge(ONE), store.zero_edge(0))
-    gens = store.stab_gens(ket0.node)
-    assert [(g.string.render(), g.factor) for g in gens] == [("Z", ONE)]
+    rows = store.stab_gens(ket0.node)
+    assert [(PauliString(1, x, z).render(), k) for _, (k, x, z) in rows] == [("Z", 0)]
+    assert [key for key, _ in rows] == [string_key(0, 1)]
+    assert expand_generators(store, ket0.node) == {(0, 0, 0), (0, 1, 0)}
 
 
 def test_stab_gens_bell_pair():
@@ -370,6 +367,91 @@ def test_stab_gens_match_brute_force(seed):
             continue
         vec = edge_vec(store, Edge(store.identity_lim(node.level), node))
         assert expand_generators(store, node) == brute_force_group(vec)
+
+
+def test_cached_rows_have_distinct_descending_leads():
+    for seed in (4, 5, 6):
+        rng = random.Random(seed)
+        store = fresh("limdd")
+        for _ in range(8):
+            n = rng.randint(1, 4)
+            circ = gen_random(n, rng.randint(4, 20), seed=rng.randrange(1 << 30), max_t=3)
+            state, _ = simulate(circ, mode="limdd", store=store)
+            store.stab_gens(state.root.node)
+        assert len(store.stab_cache) > 1
+        for node_id, rows in store.stab_cache.items():
+            leads = [key.bit_length() - 1 for key, _ in rows]
+            assert leads == sorted(set(leads), reverse=True)
+            for key, (k, x, z) in rows:
+                assert key == string_key(x, z) and k in (0, 2)
+            node = store.nodes.get(node_id)
+            if node is not None and 0 < node.level <= 3:
+                vec = edge_vec(store, Edge(store.identity_lim(node.level), node))
+                assert expand_generators(store, node) == brute_force_group(vec)
+
+
+def _group_lims(vec: list) -> list:
+    n = (len(vec) - 1).bit_length()
+    return [PauliLIM(omega_power(e), PauliString(n, x, z)) for x, z, e in brute_force_group(vec)]
+
+
+def _root_node(store: DDStore, n: int, seed: int):
+    # few T gates keep the stabilizer groups large
+    circ = gen_random(n, 10, seed=seed, max_t=seed % 3)
+    state, _ = simulate(circ, mode="limdd", store=store)
+    node = state.root.node
+    return node, edge_vec(store, Edge(store.identity_lim(n), node))
+
+
+def _min_string(lims):
+    return min(string_key(l.string.x, l.string.z) for l in lims)
+
+
+scale_st = st.sampled_from([ONE, RingValue(2), RingValue(F(1, 3)), SQRT2 + ONE,
+                            RingValue(F(1, 2), F(1, 2))])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 1 << 30), scale_st, st.integers(0, 7),
+       st.integers(0, 7), st.integers(0, 7))
+def test_coset_min_is_least_member_of_coset(n, seed, scale, e, x, z):
+    store = fresh("limdd")
+    w, vec = _root_node(store, n, seed)
+    mask = (1 << n) - 1
+    c = PauliLIM(scale * omega_power(e), PauliString(n, x & mask, z & mask))
+    coset = [lim_mul(EXACT_OPS, c, g) for g in _group_lims(vec)]
+    least = _min_string(coset)
+    want = [l for l in coset if string_key(l.string.x, l.string.z) == least]
+    assert len(want) == 1  # one member per string
+    assert store._coset_min(c, w) == want[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 1 << 30), st.integers(0, 1 << 30), st.booleans(),
+       scale_st, st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))
+@example(2, 22, 0, False, ONE, 0, 2, 1)  # g0 = -1 * (a two-qubit string): root sign -1
+def test_get_labels_matches_brute_force(n, seed0, seed1, same, scale, e, x, z):
+    store = fresh("limdd")
+    v0, vec0 = _root_node(store, n, seed0)
+    v1, vec1 = (v0, vec0) if same else _root_node(store, n, seed1)
+    mask = (1 << n) - 1
+    a_hat = PauliLIM(scale * omega_power(e), PauliString(n, x & mask, z & mask))
+    c_hat, root = store._get_labels(a_hat, v0, v1)
+    # stage 1: every g0 * a_hat * g1, kept at the least string
+    products = [lim_mul(EXACT_OPS, g0, lim_mul(EXACT_OPS, a_hat, g1))
+                for g0 in _group_lims(vec0) for g1 in _group_lims(vec1)]
+    least = _min_string(products)
+    best = [l for l in products if string_key(l.string.x, l.string.z) == least]
+    # stage 2: a Z flip, and with equal children an X swap, on each factor
+    candidates = []
+    for lam in {l.factor for l in best}:
+        candidates += [lam, -lam] + ([ONE / lam, -(ONE / lam)] if v0 is v1 else [])
+    mu = min(candidates, key=EXACT_OPS.argmin_key)
+    assert c_hat == PauliLIM(mu, best[0].string)
+    # the root label undoes the canonicalization
+    node = store._make_node(n + 1, Edge(store.identity_lim(n), v0), Edge(c_hat, v1))
+    twisted = Edge(a_hat, v1)
+    assert edge_vec(store, Edge(root, node)) == vec0 + edge_vec(store, twisted)
 
 
 # -- canonicity ----------------------------------------------------------------

@@ -6,20 +6,27 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qddsim.coeff import EXACT_OPS, I_UNIT, MINUS_ONE, ONE, omega_power
 from qddsim.pauli import (
     DIAG_OCTANT,
+    IDENTITY_ROW,
     PauliLIM,
     PauliString,
+    combine,
     commute_phase_past_lim,
     conj_bits,
     conjugate_lim,
+    echelon,
     follow_basis,
     identity_lim,
+    joint_echelon,
     lim_inverse,
-    lim_lex_compare,
     lim_mul,
+    reduce_key,
+    row_mul,
     string_key,
 )
 
@@ -96,7 +103,7 @@ def test_string_render():
 def test_string_key_orders_lexicographically():
     for n in (1, 2, 3):
         strings = list(all_strings(n))
-        by_key = sorted(strings, key=string_key)
+        by_key = sorted(strings, key=lambda s: string_key(s.x, s.z))
         by_lex = sorted(
             strings, key=lambda s: tuple(s.code_at(b) for b in range(n - 1, -1, -1))
         )
@@ -106,7 +113,7 @@ def test_string_key_orders_lexicographically():
 def test_string_key_xor_is_product():
     for s1, s2 in itertools.product(all_strings(2), repeat=2):
         prod = PauliString(2, s1.x ^ s2.x, s1.z ^ s2.z)
-        assert string_key(s1) ^ string_key(s2) == string_key(prod)
+        assert string_key(s1.x, s1.z) ^ string_key(s2.x, s2.z) == string_key(prod.x, prod.z)
 
 
 # -- scaled labels ------------------------------------------------------------
@@ -145,13 +152,114 @@ def test_lim_inverse():
         assert prod.factor == ONE
 
 
-def test_lim_lex_compare():
-    a = PauliLIM(MINUS_ONE, PauliString.z_at(1, 0))
-    b = PauliLIM(ONE, PauliString.z_at(1, 0))
-    assert lim_lex_compare(OPS, a, b) == -1  # -1 sorts before +1 in value order
-    c = PauliLIM(ONE, PauliString.x_at(1, 0))
-    assert lim_lex_compare(OPS, c, a) == -1  # X string before Z string
-    assert lim_lex_compare(OPS, b, b) == 0
+# -- group kernel ---------------------------------------------------------------
+
+def row_lim(n: int, row) -> PauliLIM:
+    k, x, z = row
+    return PauliLIM(omega_power(2 * k), PauliString(n, x, z))
+
+
+row_st = st.tuples(st.integers(0, 3), st.integers(0, 15), st.integers(0, 15))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(row_st, row_st)
+def test_row_mul_matches_lim_mul(r1, r2):
+    # unit-phase labels: the kernel's integer phase is lim_mul's ring factor
+    assert row_lim(4, row_mul(r1, r2)) == lim_mul(OPS, row_lim(4, r1), row_lim(4, r2))
+    assert row_mul(r1, IDENTITY_ROW) == row_mul(IDENTITY_ROW, r1) == r1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(row_st, max_size=6), st.integers(0, 63))
+def test_combine_folds_row_mul(rows, mask):
+    # any rows, commuting or not: the product in index order
+    basis = tuple((string_key(x, z), (k, x, z)) for k, x, z in rows)
+    mask &= (1 << len(rows)) - 1
+    want = IDENTITY_ROW
+    for i, row in enumerate(rows):
+        if mask >> i & 1:
+            want = row_mul(want, row)
+    assert combine(basis, mask) == want
+
+
+def group_of(n: int, rows) -> dict:
+    """Every product of the rows, closed under lim_mul: string -> row."""
+    members = {(0, 0): IDENTITY_ROW}
+    for row in rows:
+        for x, z in list(members):
+            prod = lim_mul(OPS, row_lim(n, members[x, z]), row_lim(n, row))
+            k = [omega_power(2 * j) for j in range(4)].index(prod.factor)
+            members[prod.string.x, prod.string.z] = (k, prod.string.x, prod.string.z)
+    return members
+
+
+def commuting_rows(rng: random.Random, n: int) -> list:
+    """Hermitian generators of a random stabilizer group: the all-Z group
+    conjugated by random Clifford gates, with dependent rows appended."""
+    rows = [(0, 0, 1 << b) for b in range(n)][: rng.randint(0, n)]
+    for _ in range(12):
+        kind = rng.choice(("h", "s", "x", "z", "cx", "cz")[: 6 if n > 1 else 4])
+        bits = tuple(rng.sample(range(n), 2)) if kind in ("cx", "cz") else (rng.randrange(n),)
+        rows = [((k + 2 * f) & 3, x2, z2) for k, x, z in rows
+                for x2, z2, f in (conj_bits(kind, bits, x, z),)]
+    if len(rows) > 1:
+        rows.append(row_mul(rows[0], rows[-1]))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_echelon_and_reduce_key(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        rows = commuting_rows(rng, n)
+        basis = echelon(rows)
+        leads = [key.bit_length() - 1 for key, _ in basis]
+        assert leads == sorted(set(leads), reverse=True)
+        assert all(key == string_key(x, z) for key, (_, x, z) in basis)
+        group = group_of(n, rows)
+        assert group_of(n, [row for _, row in basis]) == group
+        # reduce_key: least key over the coset, and the rows producing it
+        c = (rng.randrange(4), rng.randrange(1 << n), rng.randrange(1 << n))
+        key, used = reduce_key(basis, string_key(c[1], c[2]))
+        coset = [row_mul(c, g) for g in group.values()]
+        best = min(coset, key=lambda r: string_key(r[1], r[2]))
+        assert row_mul(c, combine(basis, used)) == best
+        assert key == string_key(best[1], best[2])
+        # membership: a member's string reduces to nothing, its rows to it
+        member = rng.choice(list(group.values()))
+        key, used = reduce_key(basis, string_key(member[1], member[2]))
+        assert key == 0 and combine(basis, used) == member
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_joint_echelon_spans_and_intersects(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        b0, b1 = echelon(commuting_rows(rng, n)), echelon(commuting_rows(rng, n))
+        rows, common = joint_echelon(b0, b1)
+        n0 = len(b0)
+        keys0 = {string_key(x, z) for x, z in group_of(n, [r for _, r in b0])}
+        keys1 = {string_key(x, z) for x, z in group_of(n, [r for _, r in b1])}
+        span = {a ^ b for a in keys0 for b in keys1}
+        assert len(rows) + len(common) == n0 + len(b1)
+        assert 1 << len(rows) == len(span)
+        leads = [key.bit_length() - 1 for key, _ in rows]
+        assert leads == sorted(set(leads), reverse=True)
+        for key, mask in rows:
+            assert key in span
+            g0, g1 = combine(b0, mask & ((1 << n0) - 1)), combine(b1, mask >> n0)
+            assert string_key(g0[1] ^ g1[1], g0[2] ^ g1[2]) == key
+        shared = []
+        for mask in common:
+            g0, g1 = combine(b0, mask & ((1 << n0) - 1)), combine(b1, mask >> n0)
+            assert (g0[1], g0[2]) == (g1[1], g1[2]) != (0, 0)
+            shared.append(g0)
+        # independent, as many as the intersection's rank: they generate it
+        assert 1 << len(common) == len(keys0 & keys1)
+        assert len(echelon(shared)) == len(common)
 
 
 # -- Clifford conjugation ------------------------------------------------------

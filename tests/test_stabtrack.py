@@ -19,8 +19,8 @@ _MATS = {
 }
 
 
-def apply_row(n: int, sign: int, x: int, z: int, vec: list) -> list:
-    """Dense action of a signed tableau row (x&z bits on a qubit mean Y)."""
+def apply_row(n: int, k: int, x: int, z: int, vec: list) -> list:
+    """Dense action of a tableau row i**k * P (x&z bits on a qubit mean Y)."""
     out = list(vec)
     for b in range(n):
         m = _MATS[((x >> b) & 1, (z >> b) & 1)]
@@ -32,9 +32,7 @@ def apply_row(n: int, sign: int, x: int, z: int, vec: list) -> list:
                 if m[ib][jb] != ZERO:
                     new[i] = new[i] + m[ib][jb] * out[j]
         out = new
-    if sign:
-        out = [-v for v in out]
-    return out
+    return [v.times_i_power(k) for v in out]
 
 
 def run_tableau(circ: Circuit) -> StabilizerTableau:
@@ -219,5 +217,5 @@ def test_generators_stabilize_dense_state():
                           max_t=3)
         tab = run_tableau(circ)
         vec = dense_simulate(circ)
-        for sign, x, z in tab.rows:
-            assert apply_row(n, sign, x, z, vec) == vec
+        for k, x, z in tab.rows:
+            assert apply_row(n, k, x, z, vec) == vec
