@@ -29,13 +29,15 @@ from .pauli import (
     echelon,
     follow_basis,
     joint_echelon,
-    lim_inverse,
+    lim_div,
     lim_key,
     lim_mul,
     lim_scale,
     reduce_key,
+    row_lim_mul,
     row_mul,
     string_key,
+    times_i,
 )
 
 
@@ -74,11 +76,6 @@ class DiagramStats(NamedTuple):
 def _lift(lim: PauliLIM, n: int) -> PauliLIM:
     """Pad a label with identity on new top qubits."""
     return PauliLIM(lim.factor, PauliString(n, lim.string.x, lim.string.z))
-
-
-def _times_i(ops: ScalarOps, factor: object, k: int) -> object:
-    """factor * i**k, with a ring multiply only when k is not 0 mod 4."""
-    return ops.mul(factor, ops.i_power(k)) if k & 3 else factor
 
 
 class DDStore:
@@ -215,10 +212,10 @@ class DDStore:
         self, m: int, low: Edge, high: Edge, low_zero: bool, high_zero: bool
     ) -> Edge:
         ops = self.ops
+        x_top = (0, 1 << m, 0)
         if low_zero:
             inner = self._make_edge_limdd(m, high, low, False, True)
-            x_top = PauliLIM(ops.one, PauliString.x_at(m + 1, m))
-            return Edge(lim_mul(ops, x_top, inner.lim), inner.node)
+            return Edge(row_lim_mul(ops, x_top, inner.lim), inner.node)
         if high_zero:
             node = self._make_node(
                 m + 1,
@@ -228,20 +225,21 @@ class DDStore:
             return Edge(_lift(low.lim, m + 1), node)
         if low.node.id > high.node.id:
             inner = self._make_edge_limdd(m, high, low, False, False)
-            x_top = PauliLIM(ops.one, PauliString.x_at(m + 1, m))
-            return Edge(lim_mul(ops, x_top, inner.lim), inner.node)
-        a_hat = lim_mul(ops, lim_inverse(ops, low.lim), high.lim)
-        c_hat, root_lim = self._get_labels(a_hat, low.node, high.node)
+            return Edge(row_lim_mul(ops, x_top, inner.lim), inner.node)
+        a_hat = lim_div(ops, low.lim, high.lim)
+        c_hat, root_lim = self._get_labels(a_hat, low.node, high.node, low.lim)
         node = self._make_node(
             m + 1, Edge(self.identity_lim(m), low.node), Edge(c_hat, high.node)
         )
-        return Edge(lim_mul(ops, _lift(low.lim, m + 1), root_lim), node)
+        return Edge(root_lim, node)
 
     def _get_labels(
-        self, a_hat: PauliLIM, v0: Node, v1: Node
+        self, a_hat: PauliLIM, v0: Node, v1: Node, outer: PauliLIM
     ) -> tuple[PauliLIM, PauliLIM]:
         """Canonical high label for |0>|v0> + |1> a_hat |v1>, plus the root
-        label (on one more qubit) that undoes the canonicalization.
+        label of that state under ``outer`` (a label on the children's
+        qubits): ``outer`` times the label, on one more qubit, that undoes
+        the canonicalization, with its powers of i folded into one.
 
         Stage 1 minimizes the Pauli string of g0 * a_hat * g1 over both
         children's stabilizer groups: v0's cached rows seed a joint basis,
@@ -266,7 +264,7 @@ class DDStore:
         g0 = combine(basis0, used & ((1 << n0) - 1))
         g1 = combine(basis1, used >> n0)
         k, px, pz = row_mul(g0, row_mul((0, s.x, s.z), g1))
-        lam = _times_i(ops, a_hat.factor, k)
+        lam = times_i(ops, a_hat.factor, k)
 
         # lam and -lam tie on magnitude and on absolute components, so the
         # sign alone decides between them.
@@ -287,13 +285,14 @@ class DDStore:
             root = row_mul(g0, (0, px | top, pz))
             if s_bit:
                 root = row_mul(root, (0, 0, top))
-            factor = _times_i(ops, lam, root[0])
         else:
             root = (g0[0], g0[1], g0[2] | top) if s_bit else g0
-            factor = ops.i_power(root[0])
+        o = outer.string
+        k, x, z = row_mul((0, o.x, o.z), root)
+        factor = ops.mul(outer.factor, lam) if x_bit else outer.factor
         return (
             PauliLIM(mu, PauliString(m, px, pz)),
-            PauliLIM(factor, PauliString(m + 1, root[1], root[2])),
+            PauliLIM(times_i(ops, factor, k), PauliString(m + 1, x, z)),
         )
 
     # -- stabilizer groups -------------------------------------------------
@@ -401,7 +400,7 @@ class DDStore:
         if e.node.id > f.node.id:
             e, f = f, e
         a = e.lim
-        c = lim_mul(ops, lim_inverse(ops, a), f.lim)
+        c = lim_div(ops, a, f.lim)
         if self.mode == "limdd":
             c = self._coset_min(c, f.node)
         if e.node is f.node and c.string.is_identity():
@@ -432,7 +431,7 @@ class DDStore:
         basis = self.stab_gens(w)
         _, used = reduce_key(basis, string_key(s.x, s.z))
         k, x, z = row_mul((0, s.x, s.z), combine(basis, used))
-        return PauliLIM(_times_i(self.ops, c.factor, k), PauliString(s.n, x, z))
+        return PauliLIM(times_i(self.ops, c.factor, k), PauliString(s.n, x, z))
 
     # -- statistics, checking, reclamation ---------------------------------
 
@@ -500,7 +499,7 @@ class DDStore:
                 continue
             if low.node.id > high.node.id:
                 raise DiagramError(f"unordered children at node {node.id}")
-            c_hat, undo = self._get_labels(high.lim, low.node, high.node)
+            c_hat, undo = self._get_labels(high.lim, low.node, high.node, low.lim)
             if lim_key(ops, c_hat) != lim_key(ops, high.lim) or not undo.is_identity_lim(ops):
                 raise DiagramError(f"non-canonical high label at node {node.id}")
 

@@ -1,34 +1,38 @@
 """Gate compilation and application on diagram states.
 
-The simulator applies a small primitive set directly: h, the diagonal phase
-family (t, tdg, s, sdg, z), the Paulis, cz and swap.  cx is compiled to
-h-cz-h and ccx to the standard seven-T network, so every supported circuit
-reduces to primitives before touching the diagram.
+The simulator applies h, the diagonal phase family (t, tdg, s, sdg, z), the
+Paulis, cz, cx and swap directly as diagram operations; ccx runs as the
+standard seven-T network with native cx.  ``apply_gate`` takes the primitive
+set, which has no cx.  ``compile_gate`` still expands every gate into that
+set (cx as h-cz-h), and the gate counts in reports count that expansion.
 
 Applications are structural recursions over hash-consed nodes, memoized in
 the store's operation cache; a node's result never goes stale because nodes
 are immutable, so the cache is cleared only to reclaim memory.  In limdd
 mode Pauli gates reduce to one label multiplication at the root, and gates
 commute through edge labels on the way down (diagonal gates flip to their
-adjoint across an X component and emit a global phase; h and cz conjugate
-the label).
+adjoint across an X component and emit a global phase; Clifford gates
+conjugate the label).  cx with the control above the target flips the target
+on the control's high branch; with the target above, and for swap, the
+branches at the upper level are regrouped by the value of the lower bit,
+using projections that an X in a label redirects to the other value.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .coeff import within_coeff_bound
 from .ddcore import DDStore, Edge, State
 from .pauli import (
     DIAG_OCTANT,
     PauliLIM,
-    PauliString,
     commute_phase_past_lim,
     conjugate_lim,
     lim_mul,
     lim_scale,
+    row_lim_mul,
 )
 from .stabtrack import StabilizerTableau
 
@@ -71,6 +75,24 @@ class GateCounts(NamedTuple):
     cz_count: int
 
 
+# ccx(a, b, t) as the standard seven-T network; indices pick from (a, b, t).
+_CCX_NETWORK = (
+    ("h", (2,)), ("cx", (1, 2)), ("tdg", (2,)), ("cx", (0, 2)), ("t", (2,)),
+    ("cx", (1, 2)), ("tdg", (2,)), ("cx", (0, 2)), ("t", (1,)), ("t", (2,)),
+    ("cx", (0, 1)), ("h", (2,)), ("t", (0,)), ("tdg", (1,)), ("cx", (0, 1)),
+)
+
+
+def _native_ops(gate: GateInstance) -> tuple[GateInstance, ...]:
+    """The gate as ``simulate`` applies it: primitives and cx."""
+    if gate.kind != "ccx":
+        return (gate,)
+    q = gate.qubits
+    return tuple(
+        GateInstance(kind, tuple(q[i] for i in idx)) for kind, idx in _CCX_NETWORK
+    )
+
+
 def compile_gate(gate: GateInstance) -> tuple[GateInstance, ...]:
     """Expand one gate into primitives."""
     if gate.kind in PRIMITIVE_KINDS:
@@ -83,28 +105,7 @@ def compile_gate(gate: GateInstance) -> tuple[GateInstance, ...]:
             GateInstance("h", (t,)),
         )
     if gate.kind == "ccx":
-        a, b, t = gate.qubits
-        seq = [
-            GateInstance("h", (t,)),
-            GateInstance("cx", (b, t)),
-            GateInstance("tdg", (t,)),
-            GateInstance("cx", (a, t)),
-            GateInstance("t", (t,)),
-            GateInstance("cx", (b, t)),
-            GateInstance("tdg", (t,)),
-            GateInstance("cx", (a, t)),
-            GateInstance("t", (b,)),
-            GateInstance("t", (t,)),
-            GateInstance("cx", (a, b)),
-            GateInstance("h", (t,)),
-            GateInstance("t", (a,)),
-            GateInstance("tdg", (b,)),
-            GateInstance("cx", (a, b)),
-        ]
-        out: list[GateInstance] = []
-        for g in seq:
-            out.extend(compile_gate(g))
-        return tuple(out)
+        return compile_sequence(_native_ops(gate))
     raise ValueError(f"cannot compile gate kind {gate.kind!r}")
 
 
@@ -147,6 +148,12 @@ def _neg_edge(store: DDStore, edge: Edge) -> Edge:
     return _scale_edge(store, store.ops.neg(store.ops.one), edge)
 
 
+def _check_bits(n: int, bits: tuple[int, ...]) -> None:
+    for b in bits:
+        if not 0 <= b < n:
+            raise ValueError(f"gate bit {b} out of range for {n} qubits")
+
+
 def _apply_diag(store: DDStore, edge: Edge, p: int, bit: int) -> Edge:
     if store.is_zero(edge):
         return edge
@@ -179,59 +186,16 @@ def _diag_node(store: DDStore, node, p: int, bit: int) -> Edge:
     return res
 
 
-def _apply_h(store: DDStore, edge: Edge, bit: int) -> Edge:
+def _apply_pauli(store: DDStore, edge: Edge, kind: str, bit: int) -> Edge:
+    """x, y or z at ``bit``; in limdd mode one multiply of the root label."""
     if store.is_zero(edge):
         return edge
-    lim = edge.lim
     if store.mode == "limdd":
-        lim = conjugate_lim(store.ops, lim, "h", (bit,))
-    return _compose(store, lim, _h_node(store, edge.node, bit))
-
-
-def _h_node(store: DDStore, node, bit: int) -> Edge:
-    key = ("h", bit, node.id)
-    hit = store.op_cache.get(key)
-    if hit is not None:
-        return hit
-    if node.level - 1 == bit:
-        r0 = store.add(node.low, node.high)
-        r1 = store.add(node.low, _neg_edge(store, node.high))
-        res = _scale_edge(store, store.ops.invsqrt2, store.make_edge(r0, r1))
-    else:
-        res = store.make_edge(
-            _apply_h(store, node.low, bit), _apply_h(store, node.high, bit)
-        )
-    store.op_cache[key] = res
-    return res
-
-
-def _apply_cz(store: DDStore, edge: Edge, hi: int, lo: int) -> Edge:
-    if store.is_zero(edge):
-        return edge
-    lim = edge.lim
-    if store.mode == "limdd":
-        lim = conjugate_lim(store.ops, lim, "cz", (hi, lo))
-    return _compose(store, lim, _cz_node(store, edge.node, hi, lo))
-
-
-def _cz_node(store: DDStore, node, hi: int, lo: int) -> Edge:
-    key = ("cz", hi, lo, node.id)
-    hit = store.op_cache.get(key)
-    if hit is not None:
-        return hit
-    if node.level - 1 == hi:
-        res = store.make_edge(node.low, _apply_diag(store, node.high, 4, lo))
-    else:
-        res = store.make_edge(
-            _apply_cz(store, node.low, hi, lo), _apply_cz(store, node.high, hi, lo)
-        )
-    store.op_cache[key] = res
-    return res
-
-
-def _apply_pauli_evdd(store: DDStore, edge: Edge, kind: str, bit: int) -> Edge:
-    if store.is_zero(edge):
-        return edge
+        m = 1 << bit
+        row = (0, 0 if kind == "z" else m, 0 if kind == "x" else m)
+        return Edge(row_lim_mul(store.ops, row, edge.lim), edge.node)
+    if kind == "z":
+        return _apply_diag(store, edge, 4, bit)
     return _compose(store, edge.lim, _pauli_node_evdd(store, edge.node, kind, bit))
 
 
@@ -251,52 +215,114 @@ def _pauli_node_evdd(store: DDStore, node, kind: str, bit: int) -> Edge:
             )
     else:
         res = store.make_edge(
-            _apply_pauli_evdd(store, node.low, kind, bit),
-            _apply_pauli_evdd(store, node.high, kind, bit),
+            _apply_pauli(store, node.low, kind, bit),
+            _apply_pauli(store, node.high, kind, bit),
         )
     store.op_cache[key] = res
     return res
 
 
-def _apply_cx(store: DDStore, edge: Edge, control: int, target: int) -> Edge:
-    edge = _apply_h(store, edge, target)
-    a, b = (control, target) if control > target else (target, control)
-    edge = _apply_cz(store, edge, a, b)
-    return _apply_h(store, edge, target)
+def project(store: DDStore, edge: Edge, bit: int, value: int) -> Edge:
+    """The part of the state in which ``bit`` reads ``value`` (unnormalized;
+    a zero edge if there is none).  An X or Y at the bit in a label turns
+    the projector below it into the other one."""
+    if store.is_zero(edge):
+        return edge
+    value ^= (edge.lim.string.x >> bit) & 1
+    return _compose(store, edge.lim, _project_node(store, edge.node, bit, value))
+
+
+def _project_node(store: DDStore, node, bit: int, value: int) -> Edge:
+    key = ("proj", bit, value, node.id)
+    hit = store.op_cache.get(key)
+    if hit is not None:
+        return hit
+    if node.level - 1 == bit:
+        zero = store.zero_edge(bit)
+        low, high = (zero, node.high) if value else (node.low, zero)
+    else:
+        low = project(store, node.low, bit, value)
+        high = project(store, node.high, bit, value)
+    if store.is_zero(low) and store.is_zero(high):
+        res = store.zero_edge(node.level)
+    else:
+        res = store.make_edge(low, high)
+    store.op_cache[key] = res
+    return res
+
+
+def _split(store: DDStore, edge: Edge, bit: int) -> tuple[Edge, Edge]:
+    return project(store, edge, bit, 0), project(store, edge, bit, 1)
+
+
+def _h_at(store: DDStore, node, bit: int) -> Edge:
+    r0 = store.add(node.low, node.high)
+    r1 = store.add(node.low, _neg_edge(store, node.high))
+    return _scale_edge(store, store.ops.invsqrt2, store.make_edge(r0, r1))
+
+
+def _cz_at(store: DDStore, node, hi: int, lo: int) -> Edge:
+    return store.make_edge(node.low, _apply_diag(store, node.high, 4, lo))
+
+
+def _cx_at(store: DDStore, node, control: int, target: int) -> Edge:
+    if control > target:
+        return store.make_edge(node.low, _apply_pauli(store, node.high, "x", target))
+    # |0>(P0 e0 + P1 e1) + |1>(P1 e0 + P0 e1), P_b projecting the control
+    a0, a1 = _split(store, node.low, control)
+    b0, b1 = _split(store, node.high, control)
+    return store.make_edge(store.add(a0, b1), store.add(a1, b0))
+
+
+def _swap_at(store: DDStore, node, hi: int, lo: int) -> Edge:
+    # |0>(P0 e0 + X P0 e1) + |1>(X P1 e0 + P1 e1), P_b and X at lo
+    a0, a1 = _split(store, node.low, lo)
+    b0, b1 = _split(store, node.high, lo)
+    return store.make_edge(
+        store.add(a0, _apply_pauli(store, b0, "x", lo)),
+        store.add(_apply_pauli(store, a1, "x", lo), b1),
+    )
+
+
+# What a Clifford gate does to a node at the level of its highest bit.
+_AT_LEVEL = {"h": _h_at, "cz": _cz_at, "cx": _cx_at, "swap": _swap_at}
+
+
+def _apply_clifford(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> Edge:
+    """h, cz, cx or swap; cz and swap take their higher bit first."""
+    if store.is_zero(edge):
+        return edge
+    lim = edge.lim
+    if store.mode == "limdd":
+        lim = conjugate_lim(store.ops, lim, kind, bits)
+    return _compose(store, lim, _clifford_node(store, edge.node, kind, bits))
+
+
+def _clifford_node(store: DDStore, node, kind: str, bits: tuple[int, ...]) -> Edge:
+    key = (kind, bits, node.id)
+    hit = store.op_cache.get(key)
+    if hit is not None:
+        return hit
+    if node.level - 1 == max(bits):
+        res = _AT_LEVEL[kind](store, node, *bits)
+    else:
+        res = store.make_edge(
+            _apply_clifford(store, node.low, kind, bits),
+            _apply_clifford(store, node.high, kind, bits),
+        )
+    store.op_cache[key] = res
+    return res
 
 
 def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> Edge:
     """Apply one primitive gate; ``bits`` are internal positions (top = n-1)."""
-    n = edge.lim.string.n
-    for b in bits:
-        if not 0 <= b < n:
-            raise ValueError(f"gate bit {b} out of range for {n} qubits")
+    _check_bits(edge.lim.string.n, bits)
     if kind in ("x", "y", "z"):
-        if store.mode == "limdd":
-            b = bits[0]
-            if kind == "x":
-                p = PauliString.x_at(n, b)
-            elif kind == "y":
-                p = PauliString.y_at(n, b)
-            else:
-                p = PauliString.z_at(n, b)
-            return _compose(store, PauliLIM(store.ops.one, p), edge)
-        if kind == "z":
-            return _apply_diag(store, edge, 4, bits[0])
-        return _apply_pauli_evdd(store, edge, kind, bits[0])
+        return _apply_pauli(store, edge, kind, bits[0])
     if kind in DIAG_OCTANT:
         return _apply_diag(store, edge, DIAG_OCTANT[kind], bits[0])
-    if kind == "h":
-        return _apply_h(store, edge, bits[0])
-    if kind == "cz":
-        a, b = bits
-        hi, lo = (a, b) if a > b else (b, a)
-        return _apply_cz(store, edge, hi, lo)
-    if kind == "swap":
-        a, b = bits
-        edge = _apply_cx(store, edge, a, b)
-        edge = _apply_cx(store, edge, b, a)
-        return _apply_cx(store, edge, a, b)
+    if kind in ("h", "cz", "swap"):
+        return _apply_clifford(store, edge, kind, tuple(sorted(bits, reverse=True)))
     raise ValueError(f"not a primitive gate kind: {kind!r}")
 
 
@@ -350,11 +376,12 @@ def simulate(
 ) -> tuple[State, RunStats]:
     """Run a circuit from the all-zero state and report structural stats.
 
-    ``circuit`` needs ``n_qubits`` and ``gates`` attributes.  When
-    ``check_bounds`` is set, a stabilizer tableau tracks the circuit and the
-    diagram width is compared against the predicted ceiling after every
-    gate; ``check_coeffs`` (exact backend only) verifies the label-size
-    bound the same way.
+    ``circuit`` needs ``n_qubits`` and ``gates`` attributes.  The diagram
+    applies cx natively; ``RunStats.counts`` counts the compiled primitive
+    set of ``compile_gate``.  When ``check_bounds`` is set, a stabilizer
+    tableau tracks the circuit and the diagram width is compared against
+    the predicted ceiling after every gate; ``check_coeffs`` (exact backend
+    only) verifies the label-size bound the same way.
     """
     t0 = time.perf_counter()
     n = circuit.n_qubits
@@ -372,16 +399,15 @@ def simulate(
     if check_coeffs and store.ops.backend != "exact":
         coeff_ok = None
     t_seen = 0
-    applied = 0
-    all_primitives: list[GateInstance] = []
     for gate in circuit.gates:
-        primitives = compile_gate(gate)
-        all_primitives.extend(primitives)
-        for prim in primitives:
-            bits = tuple(n - 1 - q for q in prim.qubits)
-            root = apply_gate(store, root, prim.kind, bits)
-            applied += 1
-            if prim.kind in ("t", "tdg"):
+        for op in _native_ops(gate):
+            bits = tuple(n - 1 - q for q in op.qubits)
+            if op.kind == "cx":  # not a primitive, so not for apply_gate
+                _check_bits(n, bits)
+                root = _apply_clifford(store, root, "cx", bits)
+            else:
+                root = apply_gate(store, root, op.kind, bits)
+            if op.kind in ("t", "tdg"):
                 t_seen += 1
         if tableau is not None:
             tableau.apply_gate(gate.kind, tuple(n - 1 - q for q in gate.qubits))
@@ -398,7 +424,7 @@ def simulate(
             store.clear_op_caches()
         store.maybe_collect([root])
     stats = store.stats(root, n)
-    counts = count_gates(all_primitives)
+    counts = count_gates(compile_sequence(circuit.gates))
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     run = RunStats(
         n_qubits=n,

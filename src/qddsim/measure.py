@@ -1,10 +1,14 @@
 """Norms, measurement probabilities and sampling on diagram states.
 
 Pauli strings and the canonical labels preserve the two-norm, so the squared
-norm of a node is just the sum over its children, cached per node.  Exact
+norm of a node is just the sum over its children, cached per node.  The
+marginal of any qubit is one memoized pass over those norms: each node
+splits its squared norm by the qubit's value, and a label with an X at the
+qubit swaps the two parts.  No gate runs and no node is built.  Exact
 probabilities are ratios of ring values; sampling compares them against a
 uniform draw through Decimal arithmetic so the exact backend never rounds
-through binary floating point.
+through binary floating point.  ``collapse`` projects the root with the
+same projection the native cx and swap use.
 """
 from __future__ import annotations
 
@@ -13,7 +17,8 @@ from decimal import Decimal
 
 from .coeff import RingValue, real_decimal
 from .ddcore import DDStore, Edge, State
-from .gates import apply_gate
+from .gates import project
+from .pauli import lim_scale
 
 
 class ZeroStateError(Exception):
@@ -43,30 +48,43 @@ def squared_norm(store: DDStore, edge: Edge) -> object:
     return _edge_snorm(store, edge)
 
 
-def _top_probability(store: DDStore, root: Edge) -> object:
-    s0 = squared_norm(store, store.follow(root, 0))
-    s1 = squared_norm(store, store.follow(root, 1))
-    total = store.ops.add(s0, s1)
-    if store.ops.is_zero(total):
-        raise ZeroStateError("cannot measure a zero state")
-    return store.ops.div(s0, total)
+def _split_snorm(store: DDStore, edge: Edge, bit: int, memo: dict) -> tuple:
+    """Squared norms of the edge's state where ``bit`` reads 0 and 1;
+    ``memo`` holds each node's pair."""
+    ops = store.ops
+    if store.is_zero(edge):
+        return ops.zero, ops.zero
+    node = edge.node
+    pair = memo.get(node.id)
+    if pair is None:
+        if node.level - 1 == bit:
+            pair = (_edge_snorm(store, node.low), _edge_snorm(store, node.high))
+        else:
+            l0, l1 = _split_snorm(store, node.low, bit, memo)
+            h0, h1 = _split_snorm(store, node.high, bit, memo)
+            pair = (ops.add(l0, h0), ops.add(l1, h1))
+        memo[node.id] = pair
+    s0, s1 = pair
+    if (edge.lim.string.x >> bit) & 1:
+        s0, s1 = s1, s0
+    w = ops.abs2(edge.lim.factor)
+    return ops.mul(w, s0), ops.mul(w, s1)
 
 
-def _rotated_root(state: State, qubit: int) -> Edge:
-    """Root with the named qubit swapped to the top (a fresh edge; the
-    original state is untouched)."""
-    root = state.root
-    if qubit != 0:
-        n = state.n_qubits
-        root = apply_gate(state.store, root, "swap", (n - 1, n - 1 - qubit))
-    return root
+def _check_qubit(state: State, qubit: int) -> None:
+    if not 0 <= qubit < state.n_qubits:
+        raise ValueError(f"qubit {qubit} out of range")
 
 
 def measurement_probability(state: State, qubit: int = 0) -> object:
     """Probability that the qubit reads 0; exact ring value or float."""
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
-    return _top_probability(state.store, _rotated_root(state, qubit))
+    _check_qubit(state, qubit)
+    ops = state.store.ops
+    s0, s1 = _split_snorm(state.store, state.root, state.n_qubits - 1 - qubit, {})
+    total = ops.add(s0, s1)
+    if ops.is_zero(total):
+        raise ZeroStateError("cannot measure a zero state")
+    return ops.div(s0, total)
 
 
 def probability_as_decimal(p: object, digits: int = 30) -> Decimal:
@@ -102,27 +120,17 @@ def collapse(state: State, qubit: int, outcome: int) -> State:
         )
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    root = _rotated_root(state, qubit)
-    n = state.n_qubits
-    f0 = store.follow(root, 0)
-    f1 = store.follow(root, 1)
-    kept = f1 if outcome else f0
-    p = squared_norm(store, kept)
-    total = store.ops.add(p, squared_norm(store, f1 if not outcome else f0))
+    _check_qubit(state, qubit)
+    total = squared_norm(store, state.root)
     if store.ops.is_zero(total):
         raise ZeroStateError("cannot measure a zero state")
+    kept = project(store, state.root, state.n_qubits - 1 - qubit, outcome)
+    p = squared_norm(store, kept)
     if store.ops.is_zero(p):
         raise ZeroStateError(f"outcome {outcome} has zero probability")
     scale = (abs(complex(total)) / abs(complex(p))) ** 0.5
-    kept = Edge(
-        type(kept.lim)(store.ops.mul(kept.lim.factor, complex(scale)), kept.lim.string),
-        kept.node,
-    )
-    zero = store.zero_edge(n - 1)
-    root = store.make_edge(kept, zero) if outcome == 0 else store.make_edge(zero, kept)
-    if qubit != 0:
-        root = apply_gate(store, root, "swap", (n - 1, n - 1 - qubit))
-    return State(store, root, n)
+    kept = Edge(lim_scale(store.ops, complex(scale), kept.lim), kept.node)
+    return State(store, kept, state.n_qubits)
 
 
 def measure_qubit(

@@ -232,6 +232,27 @@ def lim_inverse(ops: ScalarOps, lim: PauliLIM) -> PauliLIM:
     return PauliLIM(ops.inv(lim.factor), lim.string)
 
 
+def times_i(ops: ScalarOps, factor: object, k: int) -> object:
+    """factor * i**k, with a ring multiply only when k is not 0 mod 4."""
+    return ops.mul(factor, ops.i_power(k)) if k & 3 else factor
+
+
+def row_lim_mul(ops: ScalarOps, row: Row, lim: PauliLIM) -> PauliLIM:
+    """The row times the label; the row's phase and the product's fold into
+    the label's factor as one power of i."""
+    s = lim.string
+    k, x, z = row_mul(row, (0, s.x, s.z))
+    return PauliLIM(times_i(ops, lim.factor, k), PauliString(s.n, x, z))
+
+
+def lim_div(ops: ScalarOps, den: PauliLIM, num: PauliLIM) -> PauliLIM:
+    """den**-1 * num, with one ring division for the factors."""
+    d = den.string
+    return row_lim_mul(
+        ops, (0, d.x, d.z), PauliLIM(ops.div(num.factor, den.factor), num.string)
+    )
+
+
 def lim_scale(ops: ScalarOps, scalar: object, lim: PauliLIM) -> PauliLIM:
     return PauliLIM(ops.mul(scalar, lim.factor), lim.string)
 

@@ -115,7 +115,7 @@ class StabilizerTableau:
         pinned = 0
         for k in range(self.n):
             for x, z in ((1 << k, 0), (1 << k, 1 << k), (0, 1 << k)):
-                if _member(basis, x, z) is not None:
+                if reduce_key(basis, string_key(x, z))[0] == 0:
                     pinned += 1
                     break
         return self.n - pinned

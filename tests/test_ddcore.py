@@ -436,7 +436,7 @@ def test_get_labels_matches_brute_force(n, seed0, seed1, same, scale, e, x, z):
     v1, vec1 = (v0, vec0) if same else _root_node(store, n, seed1)
     mask = (1 << n) - 1
     a_hat = PauliLIM(scale * omega_power(e), PauliString(n, x & mask, z & mask))
-    c_hat, root = store._get_labels(a_hat, v0, v1)
+    c_hat, root = store._get_labels(a_hat, v0, v1, store.identity_lim(n))
     # stage 1: every g0 * a_hat * g1, kept at the least string
     products = [lim_mul(EXACT_OPS, g0, lim_mul(EXACT_OPS, a_hat, g1))
                 for g0 in _group_lims(vec0) for g1 in _group_lims(vec1)]

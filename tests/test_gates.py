@@ -1,20 +1,32 @@
 """Gate compilation, primitive application, and the circuit driver."""
 from __future__ import annotations
 
+import itertools
 import random
+import sys
 
 import pytest
 
-from qddsim import Circuit, GateInstance, dense_simulate, simulate
-from qddsim.coeff import ONE, ZERO
+from qddsim import Circuit, GateInstance, dense_simulate, gen_random, simulate
+from qddsim import gates
+from qddsim.coeff import ONE, ZERO, CoeffPolicy
 from qddsim.ddcore import DDStore
 from qddsim.gates import (
     GATE_ARITY,
     PRIMITIVE_KINDS,
+    _apply_clifford,
     apply_gate,
     compile_gate,
     compile_sequence,
     count_gates,
+    project,
+)
+from qddsim.measure import (
+    collapse,
+    measure_qubit,
+    measurement_probability,
+    sample,
+    sample_counts,
 )
 
 from conftest import assert_matches_dense
@@ -178,6 +190,95 @@ def test_apply_gate_rejects_composites_and_bad_bits():
         apply_gate(store, root, "h", (2,))
     with pytest.raises(ValueError):
         apply_gate(store, root, "h", (-1,))
+
+
+# -- native cx, swap and projection ----------------------------------------
+
+def compiled_cx_or_swap(store: DDStore, edge, kind: str, bits: tuple[int, int]):
+    """Reference: cx as h-cz-h, swap as three such cx."""
+    a, b = bits
+    for c, t in ([(a, b)] if kind == "cx" else [(a, b), (b, a), (a, b)]):
+        edge = apply_gate(store, edge, "h", (t,))
+        edge = apply_gate(store, edge, "cz", (c, t))
+        edge = apply_gate(store, edge, "h", (t,))
+    return edge
+
+
+def _entangled_states(store: DDStore, count: int, seed: int):
+    """Exact states on 2-5 qubits built from h, cz and single-qubit gates
+    only, so no native cx or swap goes into making them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        circ = gen_random(
+            n, rng.randint(6, 24), seed=rng.randrange(1 << 30), max_t=3,
+            kinds=("h", "t", "tdg", "s", "x", "y", "z", "cz"),
+        )
+        root = store.zero_state(n)
+        for g in circ.gates:
+            root = apply_gate(store, root, g.kind, tuple(n - 1 - q for q in g.qubits))
+        yield n, root
+
+
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_native_cx_and_swap_match_compiled(mode):
+    store = DDStore(mode=mode)
+    for n, root in _entangled_states(store, 10, seed=4411):
+        for a, b in itertools.permutations(range(n), 2):
+            for kind in ("cx", "swap"):
+                if kind == "cx":
+                    native = _apply_clifford(store, root, "cx", (a, b))
+                else:
+                    native = apply_gate(store, root, "swap", (a, b))
+                ref = compiled_cx_or_swap(store, root, kind, (a, b))
+                assert native.node is ref.node, (kind, a, b)
+                assert store.to_vector(native) == store.to_vector(ref)
+                store.check_invariants(native)
+
+
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_project_matches_dense(mode):
+    store = DDStore(mode=mode)
+    for n, root in _entangled_states(store, 10, seed=5150):
+        vec = store.to_vector(root)
+        for bit, value in itertools.product(range(n), (0, 1)):
+            proj = project(store, root, bit, value)
+            want = [v if (i >> bit) & 1 == value else ZERO for i, v in enumerate(vec)]
+            assert store.to_vector(proj) == want
+            store.check_invariants(proj)
+
+
+def test_only_traced_kinds_reach_apply_gate(monkeypatch):
+    """cx and ccx never pass through ``apply_gate``, and measurement never
+    calls it: a tracer that names each ``apply_gate`` call after its kind
+    knows only the primitive kinds."""
+    real = gates.apply_gate
+    seen: list[str] = []
+
+    def spy(store, edge, kind, bits):
+        seen.append(kind)
+        return real(store, edge, kind, bits)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "qddsim" or name.startswith("qddsim."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, spy)
+    circ = Circuit(4, tuple(GateInstance(k, q) for k, q in ALL_KINDS + [
+        ("cx", (3, 1)), ("swap", (3, 0)), ("ccx", (3, 1, 2)),
+    ]))
+    for mode in ("limdd", "evdd"):
+        for backend in ("exact", "float"):
+            state, _ = simulate(circ, policy=CoeffPolicy(backend), mode=mode)
+            for q in range(4):
+                measurement_probability(state, q)
+                sample(state, q, rng=q)
+                sample_counts(state, q, shots=8, rng=q)
+                if backend == "float":
+                    collapse(state, q, sample(state, q, rng=q))
+                    measure_qubit(state, q, rng=q)
+    assert seen
+    assert set(seen) <= {"h", "t", "tdg", "s", "sdg", "x", "y", "z", "cz", "swap"}
 
 
 # -- driver stats ----------------------------------------------------------

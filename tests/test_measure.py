@@ -22,6 +22,7 @@ from qddsim.measure import (
 )
 
 from conftest import bell_pair, random_corpus
+from test_gates import compiled_cx_or_swap
 
 
 # -- probabilities ---------------------------------------------------------
@@ -66,6 +67,41 @@ def test_squared_norm_stays_one(mode):
         assert squared_norm(state.store, state.root) == ONE
         statef, _ = simulate(circ, policy=CoeffPolicy("float"), mode=mode)
         assert abs(squared_norm(statef.store, statef.root) - 1.0) < 1e-9
+
+
+def _swap_to_top_probability(state: State, qubit: int) -> object:
+    """Reference marginal: swap the qubit to the top as three h-cz-h cx,
+    then split the top qubit."""
+    store, n = state.store, state.n_qubits
+    root = state.root
+    if qubit:
+        root = compiled_cx_or_swap(store, root, "swap", (n - 1, n - 1 - qubit))
+    s0 = squared_norm(store, store.follow(root, 0))
+    s1 = squared_norm(store, store.follow(root, 1))
+    return store.ops.div(s0, store.ops.add(s0, s1))
+
+
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_marginal_pass_matches_swap_reference(mode, backend):
+    for circ in random_corpus(8, seed=6021, n_range=(2, 5), depth_range=(8, 30), max_t=4):
+        state, _ = simulate(circ, policy=CoeffPolicy(backend), mode=mode)
+        for q in range(circ.n_qubits):
+            got = measurement_probability(state, q)
+            want = _swap_to_top_probability(state, q)
+            if backend == "exact":
+                assert got == want
+            else:
+                assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_ghz24_bottom_marginal_is_one_half(mode):
+    gates = (GateInstance("h", (0,)),) + tuple(
+        GateInstance("cx", (q, q + 1)) for q in range(23)
+    )
+    state, _ = simulate(Circuit(24, gates), mode=mode)
+    assert measurement_probability(state, 23) == RingValue(F(1, 2))
 
 
 # -- decimal rendering -----------------------------------------------------
