@@ -198,7 +198,7 @@ def _run_report(
         "checks": checks,
         "violations": sorted(name for name, ok in checks.items() if ok is False),
         "bound_report": (
-            _bound_json(track(circuit, native_ccx=True), True) if check_bounds else None
+            _bound_json(run.bound_report, True) if check_bounds else None
         ),
         "gc_runs": run.gc_runs,
         "runtime_ms": run.runtime_ms,

@@ -74,9 +74,6 @@ class RingValue:
     def is_zero(self) -> bool:
         return not (self._a or self._b or self._c or self._d)
 
-    def is_real(self) -> bool:
-        return not (self._c or self._d)
-
     def __add__(self, other: RingValue) -> RingValue:
         if not isinstance(other, RingValue):
             return NotImplemented
@@ -131,9 +128,6 @@ class RingValue:
         """|x|^2 = x * conj(x); always real (c = d = 0)."""
         a, b, c, d, n = self._a, self._b, self._c, self._d, self._den
         return _reduced(a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d), 0, 0, n * n)
-
-    def inverse(self) -> RingValue:
-        return ONE / self
 
     def times_i_power(self, k: int) -> RingValue:
         k &= 3

@@ -93,6 +93,12 @@ class DDStore:
             raise ValueError(f"unknown diagram mode {mode!r}")
         if norm_rule not in ("low", "l2"):
             raise ValueError(f"unknown normalization rule {norm_rule!r}")
+        # maybe_collect doubles the capacity until the live nodes fit under
+        # capacity * ratio: never for these values, and NaN never grows it.
+        if gc_capacity < 1:
+            raise ValueError(f"gc_capacity must be at least 1, got {gc_capacity}")
+        if not gc_ratio > 0:
+            raise ValueError(f"gc_ratio must be positive, got {gc_ratio}")
         self.policy = policy if policy is not None else CoeffPolicy()
         self.ops: ScalarOps = scalar_ops(self.policy)
         if norm_rule == "l2" and (mode != "evdd" or self.policy.backend != "float"):

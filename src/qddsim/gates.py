@@ -6,16 +6,23 @@ standard seven-T network with native cx.  ``apply_gate`` takes the primitive
 set, which has no cx.  ``compile_gate`` still expands every gate into that
 set (cx as h-cz-h), and the gate counts in reports count that expansion.
 
-Applications are structural recursions over hash-consed nodes, memoized in
-the store's operation cache; a node's result never goes stale because nodes
-are immutable, so the cache is cleared only to reclaim memory.  In limdd
-mode Pauli gates reduce to one label multiplication at the root, and gates
-commute through edge labels on the way down (diagonal gates flip to their
-adjoint across an X component and emit a global phase; Clifford gates
-conjugate the label).  cx with the control above the target flips the target
-on the control's high branch; with the target above, and for swap, the
-branches at the upper level are regrouped by the value of the lower bit,
-using projections that an X in a label redirects to the other value.
+Every diagram operation is a hashable ``(kind, bits, arg)`` run by one
+driver.  ``_apply`` moves the operation past an edge's label, and the
+memoized ``_apply_node`` recurses over hash-consed nodes down to the level of
+the operation's highest bit, where one function per kind builds the result
+(``_AT_LEVEL``).  A node's result never goes stale because nodes are
+immutable, so the operation cache is cleared only to reclaim memory.
+
+``diag`` multiplies the |1> branch of a bit by omega**arg (t, tdg, s, sdg
+and z), ``proj`` keeps the part of the state in which a bit reads arg, and
+h, cz, cx, swap, x and y take arg 0.  Past a label with an X at the bit, a
+diagonal phase flips to its adjoint and emits a global phase, and a
+projection keeps the other value; Clifford kinds conjugate the label.
+Identity strings, which include every evdd label, commute with everything.
+In limdd mode Pauli gates reduce to one label multiplication at the root.
+cx with the control above the target flips the target on the control's high
+branch; with the target above, and for swap, the branches at the upper level
+are regrouped by the value of the lower bit through projections.
 """
 from __future__ import annotations
 
@@ -27,14 +34,13 @@ from .coeff import within_coeff_bound
 from .ddcore import DDStore, Edge, State
 from .pauli import (
     DIAG_OCTANT,
-    PauliLIM,
     commute_phase_past_lim,
     conjugate_lim,
     lim_mul,
     lim_scale,
     row_lim_mul,
 )
-from .stabtrack import StabilizerTableau
+from .stabtrack import BoundReport, track
 
 
 @dataclass(frozen=True)
@@ -132,20 +138,10 @@ def count_gates(primitives: Iterable[GateInstance]) -> GateCounts:
 # -- application internals -------------------------------------------------
 
 
-def _compose(store: DDStore, lim: PauliLIM, sub: Edge) -> Edge:
-    if store.is_zero(sub):
-        return store.zero_edge(lim.string.n)
-    return Edge(lim_mul(store.ops, lim, sub.lim), sub.node)
-
-
 def _scale_edge(store: DDStore, scalar: object, edge: Edge) -> Edge:
     if store.is_zero(edge):
         return edge
     return Edge(lim_scale(store.ops, scalar, edge.lim), edge.node)
-
-
-def _neg_edge(store: DDStore, edge: Edge) -> Edge:
-    return _scale_edge(store, store.ops.neg(store.ops.one), edge)
 
 
 def _check_bits(n: int, bits: tuple[int, ...]) -> None:
@@ -154,33 +150,47 @@ def _check_bits(n: int, bits: tuple[int, ...]) -> None:
             raise ValueError(f"gate bit {b} out of range for {n} qubits")
 
 
-def _apply_diag(store: DDStore, edge: Edge, p: int, bit: int) -> Edge:
+def _join(store: DDStore, level: int, low: Edge, high: Edge) -> Edge:
+    if store.is_zero(low) and store.is_zero(high):
+        return store.zero_edge(level)
+    return store.make_edge(low, high)
+
+
+def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
+    """The operation applied to the edge's state: moved past the edge's
+    label, then applied to its node."""
     if store.is_zero(edge):
         return edge
-    if store.mode == "limdd":
-        scal, p = commute_phase_past_lim(p, bit, edge.lim)
-    else:
-        scal = 0
     lim = edge.lim
-    if scal:
-        lim = lim_scale(store.ops, store.ops.omega(scal), lim)
-    return _compose(store, lim, _diag_node(store, edge.node, p, bit))
+    s = lim.string
+    if s.x or s.z:
+        kind, bits, arg = op
+        if kind == "diag":
+            scal, p = commute_phase_past_lim(arg, bits[0], lim)
+            if scal:
+                lim = lim_scale(store.ops, store.ops.omega(scal), lim)
+                op = (kind, bits, p)
+        elif kind == "proj":
+            op = (kind, bits, arg ^ ((s.x >> bits[0]) & 1))
+        else:
+            lim = conjugate_lim(store.ops, lim, kind, bits)
+    sub = _apply_node(store, edge.node, op)
+    if store.is_zero(sub):
+        return store.zero_edge(lim.string.n)
+    return Edge(lim_mul(store.ops, lim, sub.lim), sub.node)
 
 
-def _diag_node(store: DDStore, node, p: int, bit: int) -> Edge:
-    key = ("diag", p, bit, node.id)
+def _apply_node(store: DDStore, node, op: tuple) -> Edge:
+    key = (op, node.id)
     hit = store.op_cache.get(key)
     if hit is not None:
         return hit
-    if node.level - 1 == bit:
-        high = node.high
-        if not store.is_zero(high):
-            high = Edge(lim_scale(store.ops, store.ops.omega(p), high.lim), high.node)
-        res = store.make_edge(node.low, high)
+    kind, bits, arg = op
+    if node.level - 1 == max(bits):
+        res = _AT_LEVEL[kind](store, node, bits, arg)
     else:
-        res = store.make_edge(
-            _apply_diag(store, node.low, p, bit),
-            _apply_diag(store, node.high, p, bit),
+        res = _join(
+            store, node.level, _apply(store, node.low, op), _apply(store, node.high, op)
         )
     store.op_cache[key] = res
     return res
@@ -188,84 +198,66 @@ def _diag_node(store: DDStore, node, p: int, bit: int) -> Edge:
 
 def _apply_pauli(store: DDStore, edge: Edge, kind: str, bit: int) -> Edge:
     """x, y or z at ``bit``; in limdd mode one multiply of the root label."""
-    if store.is_zero(edge):
-        return edge
     if store.mode == "limdd":
+        if store.is_zero(edge):
+            return edge
         m = 1 << bit
         row = (0, 0 if kind == "z" else m, 0 if kind == "x" else m)
         return Edge(row_lim_mul(store.ops, row, edge.lim), edge.node)
     if kind == "z":
-        return _apply_diag(store, edge, 4, bit)
-    return _compose(store, edge.lim, _pauli_node_evdd(store, edge.node, kind, bit))
-
-
-def _pauli_node_evdd(store: DDStore, node, kind: str, bit: int) -> Edge:
-    key = ("pauli", kind, bit, node.id)
-    hit = store.op_cache.get(key)
-    if hit is not None:
-        return hit
-    if node.level - 1 == bit:
-        if kind == "x":
-            res = store.make_edge(node.high, node.low)
-        else:  # y
-            ops = store.ops
-            res = store.make_edge(
-                _scale_edge(store, ops.i_power(3), node.high),
-                _scale_edge(store, ops.i_power(1), node.low),
-            )
-    else:
-        res = store.make_edge(
-            _apply_pauli(store, node.low, kind, bit),
-            _apply_pauli(store, node.high, kind, bit),
-        )
-    store.op_cache[key] = res
-    return res
+        return _apply(store, edge, ("diag", (bit,), 4))
+    return _apply(store, edge, (kind, (bit,), 0))
 
 
 def project(store: DDStore, edge: Edge, bit: int, value: int) -> Edge:
     """The part of the state in which ``bit`` reads ``value`` (unnormalized;
-    a zero edge if there is none).  An X or Y at the bit in a label turns
-    the projector below it into the other one."""
-    if store.is_zero(edge):
-        return edge
-    value ^= (edge.lim.string.x >> bit) & 1
-    return _compose(store, edge.lim, _project_node(store, edge.node, bit, value))
-
-
-def _project_node(store: DDStore, node, bit: int, value: int) -> Edge:
-    key = ("proj", bit, value, node.id)
-    hit = store.op_cache.get(key)
-    if hit is not None:
-        return hit
-    if node.level - 1 == bit:
-        zero = store.zero_edge(bit)
-        low, high = (zero, node.high) if value else (node.low, zero)
-    else:
-        low = project(store, node.low, bit, value)
-        high = project(store, node.high, bit, value)
-    if store.is_zero(low) and store.is_zero(high):
-        res = store.zero_edge(node.level)
-    else:
-        res = store.make_edge(low, high)
-    store.op_cache[key] = res
-    return res
+    a zero edge if there is none)."""
+    return _apply(store, edge, ("proj", (bit,), value))
 
 
 def _split(store: DDStore, edge: Edge, bit: int) -> tuple[Edge, Edge]:
     return project(store, edge, bit, 0), project(store, edge, bit, 1)
 
 
-def _h_at(store: DDStore, node, bit: int) -> Edge:
+# What each operation does to a node at the level of its highest bit.  The
+# two-bit kinds other than cx take their higher bit first.
+
+
+def _diag_at(store: DDStore, node, bits, p: int) -> Edge:
+    return store.make_edge(node.low, _scale_edge(store, store.ops.omega(p), node.high))
+
+
+def _proj_at(store: DDStore, node, bits, value: int) -> Edge:
+    zero = store.zero_edge(bits[0])
+    low, high = (zero, node.high) if value else (node.low, zero)
+    return _join(store, node.level, low, high)
+
+
+def _x_at(store: DDStore, node, bits, arg) -> Edge:
+    return store.make_edge(node.high, node.low)
+
+
+def _y_at(store: DDStore, node, bits, arg) -> Edge:
+    ops = store.ops
+    return store.make_edge(
+        _scale_edge(store, ops.i_power(3), node.high),
+        _scale_edge(store, ops.i_power(1), node.low),
+    )
+
+
+def _h_at(store: DDStore, node, bits, arg) -> Edge:
+    ops = store.ops
     r0 = store.add(node.low, node.high)
-    r1 = store.add(node.low, _neg_edge(store, node.high))
-    return _scale_edge(store, store.ops.invsqrt2, store.make_edge(r0, r1))
+    r1 = store.add(node.low, _scale_edge(store, ops.neg(ops.one), node.high))
+    return _scale_edge(store, ops.invsqrt2, store.make_edge(r0, r1))
 
 
-def _cz_at(store: DDStore, node, hi: int, lo: int) -> Edge:
-    return store.make_edge(node.low, _apply_diag(store, node.high, 4, lo))
+def _cz_at(store: DDStore, node, bits, arg) -> Edge:
+    return store.make_edge(node.low, _apply(store, node.high, ("diag", bits[1:], 4)))
 
 
-def _cx_at(store: DDStore, node, control: int, target: int) -> Edge:
+def _cx_at(store: DDStore, node, bits, arg) -> Edge:
+    control, target = bits
     if control > target:
         return store.make_edge(node.low, _apply_pauli(store, node.high, "x", target))
     # |0>(P0 e0 + P1 e1) + |1>(P1 e0 + P0 e1), P_b projecting the control
@@ -274,8 +266,9 @@ def _cx_at(store: DDStore, node, control: int, target: int) -> Edge:
     return store.make_edge(store.add(a0, b1), store.add(a1, b0))
 
 
-def _swap_at(store: DDStore, node, hi: int, lo: int) -> Edge:
+def _swap_at(store: DDStore, node, bits, arg) -> Edge:
     # |0>(P0 e0 + X P0 e1) + |1>(X P1 e0 + P1 e1), P_b and X at lo
+    lo = bits[1]
     a0, a1 = _split(store, node.low, lo)
     b0, b1 = _split(store, node.high, lo)
     return store.make_edge(
@@ -284,34 +277,10 @@ def _swap_at(store: DDStore, node, hi: int, lo: int) -> Edge:
     )
 
 
-# What a Clifford gate does to a node at the level of its highest bit.
-_AT_LEVEL = {"h": _h_at, "cz": _cz_at, "cx": _cx_at, "swap": _swap_at}
-
-
-def _apply_clifford(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> Edge:
-    """h, cz, cx or swap; cz and swap take their higher bit first."""
-    if store.is_zero(edge):
-        return edge
-    lim = edge.lim
-    if store.mode == "limdd":
-        lim = conjugate_lim(store.ops, lim, kind, bits)
-    return _compose(store, lim, _clifford_node(store, edge.node, kind, bits))
-
-
-def _clifford_node(store: DDStore, node, kind: str, bits: tuple[int, ...]) -> Edge:
-    key = (kind, bits, node.id)
-    hit = store.op_cache.get(key)
-    if hit is not None:
-        return hit
-    if node.level - 1 == max(bits):
-        res = _AT_LEVEL[kind](store, node, *bits)
-    else:
-        res = store.make_edge(
-            _apply_clifford(store, node.low, kind, bits),
-            _apply_clifford(store, node.high, kind, bits),
-        )
-    store.op_cache[key] = res
-    return res
+_AT_LEVEL = {
+    "diag": _diag_at, "proj": _proj_at, "x": _x_at, "y": _y_at,
+    "h": _h_at, "cz": _cz_at, "cx": _cx_at, "swap": _swap_at,
+}
 
 
 def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> Edge:
@@ -320,9 +289,9 @@ def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> 
     if kind in ("x", "y", "z"):
         return _apply_pauli(store, edge, kind, bits[0])
     if kind in DIAG_OCTANT:
-        return _apply_diag(store, edge, DIAG_OCTANT[kind], bits[0])
+        return _apply(store, edge, ("diag", (bits[0],), DIAG_OCTANT[kind]))
     if kind in ("h", "cz", "swap"):
-        return _apply_clifford(store, edge, kind, tuple(sorted(bits, reverse=True)))
+        return _apply(store, edge, (kind, tuple(sorted(bits, reverse=True)), 0))
     raise ValueError(f"not a primitive gate kind: {kind!r}")
 
 
@@ -340,6 +309,7 @@ class RunStats:
     width_per_level: tuple[int, ...]
     coeff_check: bool | None
     bound_check: bool | None
+    bound_report: BoundReport | None  # the tableau's, when bounds were checked
     gc_runs: int
     runtime_ms: float
 
@@ -369,7 +339,6 @@ def simulate(
     *,
     check_coeffs: bool = False,
     check_bounds: bool = False,
-    clear_caches: bool = True,
     gc_capacity: int | None = None,
     gc_ratio: float | None = None,
     store: DDStore | None = None,
@@ -378,10 +347,11 @@ def simulate(
 
     ``circuit`` needs ``n_qubits`` and ``gates`` attributes.  The diagram
     applies cx natively; ``RunStats.counts`` counts the compiled primitive
-    set of ``compile_gate``.  When ``check_bounds`` is set, a stabilizer
-    tableau tracks the circuit and the diagram width is compared against
-    the predicted ceiling after every gate; ``check_coeffs`` (exact backend
-    only) verifies the label-size bound the same way.
+    set of ``compile_gate``.  When ``check_bounds`` is set, the stabilizer
+    tableau of ``track`` (native ccx) predicts a width ceiling for every
+    gate and the diagram width is compared against it after that gate;
+    ``check_coeffs`` (exact backend only) verifies the label-size bound the
+    same way.
     """
     t0 = time.perf_counter()
     n = circuit.n_qubits
@@ -393,35 +363,30 @@ def simulate(
             kwargs["gc_ratio"] = gc_ratio
         store = DDStore(policy=policy, mode=mode, norm_rule=norm_rule, **kwargs)
     root = store.zero_state(n)
-    tableau = StabilizerTableau(n) if check_bounds else None
+    report = track(circuit) if check_bounds else None
     coeff_ok: bool | None = True if check_coeffs else None
     bound_ok: bool | None = True if check_bounds else None
     if check_coeffs and store.ops.backend != "exact":
         coeff_ok = None
     t_seen = 0
-    for gate in circuit.gates:
+    for i, gate in enumerate(circuit.gates):
         for op in _native_ops(gate):
             bits = tuple(n - 1 - q for q in op.qubits)
             if op.kind == "cx":  # not a primitive, so not for apply_gate
                 _check_bits(n, bits)
-                root = _apply_clifford(store, root, "cx", bits)
+                root = _apply(store, root, ("cx", bits, 0))
             else:
                 root = apply_gate(store, root, op.kind, bits)
             if op.kind in ("t", "tdg"):
                 t_seen += 1
-        if tableau is not None:
-            tableau.apply_gate(gate.kind, tuple(n - 1 - q for q in gate.qubits))
+        if report is not None:
             width = max(store.stats(root, n).width_per_level, default=0)
-            if store.mode == "limdd":
-                ceiling = 1 << tableau.nullity()
-            else:
-                ceiling = 1 << tableau.local_nullity()
-            if width > ceiling:
+            nullity, local_nullity = report.per_gate[i]
+            if width > 1 << (nullity if store.mode == "limdd" else local_nullity):
                 bound_ok = False
         if coeff_ok is True and not verify_coeff_bound(store, root, n, t_seen):
             coeff_ok = False
-        if clear_caches:
-            store.clear_op_caches()
+        store.clear_op_caches()
         store.maybe_collect([root])
     stats = store.stats(root, n)
     counts = count_gates(compile_sequence(circuit.gates))
@@ -436,6 +401,7 @@ def simulate(
         width_per_level=stats.width_per_level,
         coeff_check=coeff_ok,
         bound_check=bound_ok,
+        bound_report=report,
         gc_runs=store.gc_runs,
         runtime_ms=runtime_ms,
     )

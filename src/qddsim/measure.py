@@ -103,6 +103,8 @@ def sample_counts(
 ) -> tuple[int, int]:
     """(zeros, ones) over ``shots`` draws.  The probability is computed once;
     each shot reads 1 when its uniform draw is not below p0."""
+    if shots < 0:
+        raise ValueError(f"shots must not be negative, got {shots}")
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
     p0 = probability_as_decimal(measurement_probability(state, qubit))

@@ -39,22 +39,6 @@ class PauliString(NamedTuple):
     x: int
     z: int
 
-    @classmethod
-    def identity(cls, n: int) -> PauliString:
-        return cls(n, 0, 0)
-
-    @classmethod
-    def x_at(cls, n: int, bit: int) -> PauliString:
-        return cls(n, 1 << bit, 0)
-
-    @classmethod
-    def y_at(cls, n: int, bit: int) -> PauliString:
-        return cls(n, 1 << bit, 1 << bit)
-
-    @classmethod
-    def z_at(cls, n: int, bit: int) -> PauliString:
-        return cls(n, 0, 1 << bit)
-
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
 
@@ -99,8 +83,6 @@ def string_key(x: int, z: int) -> int:
 
 Row = tuple[int, int, int]  # (k, x, z): i**k times the string (x, z)
 Basis = tuple[tuple[int, Row], ...]  # (key, row), distinct leads, keys descending
-
-IDENTITY_ROW: Row = (0, 0, 0)
 
 
 def row_mul(r1: Row, r2: Row) -> Row:
@@ -203,10 +185,6 @@ class PauliLIM(NamedTuple):
         if ops.backend == "exact":
             return f"({self.factor}) * {self.string.render()}"
         return f"({complex(self.factor)}) * {self.string.render()}"
-
-
-def identity_lim(ops: ScalarOps, n: int) -> PauliLIM:
-    return PauliLIM(ops.one, PauliString.identity(n))
 
 
 def lim_mul(ops: ScalarOps, l1: PauliLIM, l2: PauliLIM) -> PauliLIM:

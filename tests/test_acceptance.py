@@ -289,6 +289,11 @@ def test_c08_diagram_matches_dense_reference(corpus_main, dense_cache):
                 or abs(measurement_probability(statef, 0)
                        - float(p0_ref.to_complex().real)) > 1e-9):
             float_bad += 1
+        # the l2 rule, which only float evdd takes
+        statel2, _ = simulate(circ, policy=CoeffPolicy("float"), mode="evdd", norm_rule="l2")
+        statel2.check()
+        if max(abs(a - b) for a, b in zip(statel2.to_vector(), ref)) > 1e-12:
+            float_bad += 1
     elapsed = time.perf_counter() - t0
     ok = exact_bad == 0 and float_bad == 0 and checked > 0
     _line(8, ok, (

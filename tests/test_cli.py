@@ -139,6 +139,9 @@ def test_simulate_exit_one_on_bad_input(tmp_path, capsys):
     assert main(["simulate", str(good), "--coeffs", "exact",
                  "--tolerance", "0.1"]) == 1
     capsys.readouterr()
+    assert main(["simulate", str(good), "--shots", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: shots")
 
 
 def test_simulate_exit_one_on_resource_errors(tmp_path, capsys, monkeypatch):
@@ -181,6 +184,13 @@ def test_gc_threshold_env(qasm_file, capsys, monkeypatch):
     monkeypatch.setenv("QDD_GC_THRESHOLD", "not-a-number")
     assert main(["simulate", qasm_file(LEADING)]) == 1
     capsys.readouterr()
+    # settings that made the collector double its capacity without end
+    monkeypatch.setenv("QDD_GC_THRESHOLD", "0")
+    assert main(["simulate", qasm_file(LEADING), "--gc-capacity", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: gc_ratio")
+    monkeypatch.delenv("QDD_GC_THRESHOLD")
+    assert main(["simulate", qasm_file(LEADING), "--gc-capacity", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: gc_capacity")
 
 
 # -- bounds ----------------------------------------------------------------

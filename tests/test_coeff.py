@@ -89,9 +89,9 @@ def test_conj_abs2():
 
 def test_inverse():
     x = RingValue(F(1, 2), F(1, 4), F(-1, 3), F(2, 5))
-    assert x * x.inverse() == ONE
+    assert x * (ONE / x) == ONE
     with pytest.raises(ZeroDivisionError):
-        ZERO.inverse()
+        EXACT_OPS.inv(ZERO)
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
 
@@ -256,7 +256,7 @@ def test_conj_and_abs2(x, y):
     assert (x * y).conj() == x.conj() * y.conj()
     assert (x + y).conj() == x.conj() + y.conj()
     a2 = x.abs2()
-    assert a2.is_real()
+    assert a2.c == 0 and a2.d == 0
     assert real_sign(a2.a, a2.b) >= 0
 
 
@@ -414,7 +414,7 @@ def test_ring_matches_fraction_reference(xs, ys, k):
     ]
     if any(ys):
         pairs.append((x / y, ref_div(xs, ys)))
-        pairs.append((y.inverse(), ref_div((F(1), F(0), F(0), F(0)), ys)))
+        pairs.append((ONE / y, ref_div((F(1), F(0), F(0), F(0)), ys)))
     for got, want in pairs:
         assert_matches(got, want)
 

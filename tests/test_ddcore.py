@@ -49,6 +49,12 @@ def test_store_validation():
     with pytest.raises(ValueError):
         DDStore(mode="limdd", norm_rule="l2", policy=CoeffPolicy("float", 1e-12))
     DDStore(mode="evdd", norm_rule="l2", policy=CoeffPolicy("float", 1e-12))
+    # settings under which maybe_collect would double the capacity forever
+    for kwargs in ({"gc_capacity": 0}, {"gc_capacity": -3}, {"gc_ratio": 0.0},
+                   {"gc_ratio": -0.5}, {"gc_ratio": float("nan")}):
+        with pytest.raises(ValueError):
+            DDStore(**kwargs)
+    DDStore(gc_capacity=1, gc_ratio=1e-9)
 
 
 def test_zero_state_tower():
@@ -130,7 +136,7 @@ def test_get_labels_trivial_groups_positive_real():
     e1 = _trivial_group_node(store, 3)  # node for (1, w^7/3)
     assert e0.node is not e1.node
     lam = RingValue(3)
-    e = store.make_edge(e0, Edge(PauliLIM(lam, PauliString.identity(1)), e1.node))
+    e = store.make_edge(e0, Edge(PauliLIM(lam, PauliString(1, 0, 0)), e1.node))
     assert e.lim.factor == ONE and e.lim.string.is_identity()
     assert e.node.high.lim.factor == lam
     assert e.node.high.node is e1.node
@@ -145,7 +151,7 @@ def test_get_labels_sign_flip_moves_to_root_z():
     e0 = _trivial_group_node(store, 1)
     e1 = _trivial_group_node(store, 3)
     e = store.make_edge(
-        e0, Edge(PauliLIM(MINUS_ONE, PauliString.identity(1)), e1.node)
+        e0, Edge(PauliLIM(MINUS_ONE, PauliString(1, 0, 0)), e1.node)
     )
     assert e.node.high.lim.factor == ONE
     assert e.lim.factor == ONE
@@ -158,7 +164,7 @@ def test_get_labels_same_child_picks_inverse_scalar():
     store = fresh("limdd")
     e0 = _trivial_group_node(store, 1)
     lam = RingValue(2)
-    e = store.make_edge(e0, Edge(PauliLIM(lam, PauliString.identity(1)), e0.node))
+    e = store.make_edge(e0, Edge(PauliLIM(lam, PauliString(1, 0, 0)), e0.node))
     assert e.node.high.lim.factor == RingValue(F(1, 2))
     assert e.node.high.node is e0.node
     assert e.lim.factor == RingValue(2)
@@ -194,7 +200,7 @@ def test_follow_identity_and_x():
     assert edge_vec(store, low) == edge_vec(store, e0)
     # an X on the top qubit swaps which child a basis bit selects
     flipped = Edge(
-        lim_mul(EXACT_OPS, PauliLIM(ONE, PauliString.x_at(2, 1)), e.lim), e.node
+        lim_mul(EXACT_OPS, PauliLIM(ONE, PauliString(2, 0b10, 0)), e.lim), e.node
     )
     assert edge_vec(store, store.follow(flipped, 0)) == edge_vec(store, e1)
     assert edge_vec(store, store.follow(flipped, 1)) == edge_vec(store, e0)
@@ -205,7 +211,7 @@ def test_follow_y_phase():
     e0 = _trivial_group_node(store, 1)
     e1 = _trivial_group_node(store, 3)
     e = store.make_edge(e0, e1)
-    lim = PauliLIM(I_UNIT, PauliString.y_at(2, 1))
+    lim = PauliLIM(I_UNIT, PauliString(2, 0b10, 0b10))
     carried = Edge(lim_mul(EXACT_OPS, lim, e.lim), e.node)
     # <1|Y = +i<0|, so bit 1 selects the low child scaled by i*i = -1
     got = store.follow(carried, 1)
@@ -346,7 +352,7 @@ def test_stab_gens_bell_pair():
     # |00> + |11> built by hand: node(|0>, X-labelled |0>)
     ket0 = store.make_edge(store.terminal_edge(ONE), store.zero_edge(0))
     bell = store.make_edge(
-        ket0, Edge(PauliLIM(ONE, PauliString.x_at(1, 0)), ket0.node)
+        ket0, Edge(PauliLIM(ONE, PauliString(1, 1, 0)), ket0.node)
     )
     assert edge_vec(store, bell) == [ONE, ZERO, ZERO, ONE]
     group = expand_generators(store, bell.node)

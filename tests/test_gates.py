@@ -7,14 +7,14 @@ import sys
 
 import pytest
 
-from qddsim import Circuit, GateInstance, dense_simulate, gen_random, simulate
+from qddsim import Circuit, GateInstance, dense_simulate, gen_random, gen_wstate, simulate, track
 from qddsim import gates
 from qddsim.coeff import ONE, ZERO, CoeffPolicy
 from qddsim.ddcore import DDStore
 from qddsim.gates import (
     GATE_ARITY,
     PRIMITIVE_KINDS,
-    _apply_clifford,
+    _apply,
     apply_gate,
     compile_gate,
     compile_sequence,
@@ -227,7 +227,7 @@ def test_native_cx_and_swap_match_compiled(mode):
         for a, b in itertools.permutations(range(n), 2):
             for kind in ("cx", "swap"):
                 if kind == "cx":
-                    native = _apply_clifford(store, root, "cx", (a, b))
+                    native = _apply(store, root, ("cx", (a, b), 0))
                 else:
                     native = apply_gate(store, root, "swap", (a, b))
                 ref = compiled_cx_or_swap(store, root, kind, (a, b))
@@ -299,11 +299,28 @@ def test_runstats_fields_bell():
     assert state.to_vector() == dense_simulate(circ)
 
 
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_bound_check_holds_each_gate_to_its_mode_ceiling(monkeypatch, mode):
+    """Width after each gate against 2**nullity in limdd mode and
+    2**local_nullity in evdd mode, from one tableau run that RunStats keeps."""
+    circ = gen_wstate(4)  # width 2 in both modes
+    report = track(circ)
+    _, run = simulate(circ, mode=mode, check_bounds=True)
+    assert run.bound_check is True and run.bound_report == report
+    own = 0 if mode == "limdd" else 1
+    for tight in (0, 1):
+        per_gate = tuple((0, 9) if tight == 0 else (9, 0) for _ in report.per_gate)
+        monkeypatch.setattr(gates, "track", lambda c: report._replace(per_gate=per_gate))
+        _, run = simulate(circ, mode=mode, check_bounds=True)
+        assert run.bound_check is (tight != own)
+
+
 def test_runstats_checks_default_to_none():
     circ = Circuit(1, (GateInstance("h", (0,)),))
     _, run = simulate(circ)
     assert run.coeff_check is None
     assert run.bound_check is None
+    assert run.bound_report is None
 
 
 def test_coeff_check_skipped_for_float_backend():
@@ -322,3 +339,6 @@ def test_gc_kwargs_respected():
     ))
     _, run = simulate(circ, gc_capacity=8, gc_ratio=0.5)
     assert run.gc_runs >= 1
+    for kwargs in ({"gc_capacity": -3}, {"gc_capacity": 0}, {"gc_ratio": 0.0}):
+        with pytest.raises(ValueError):
+            simulate(circ, **kwargs)

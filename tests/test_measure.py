@@ -140,6 +140,9 @@ def test_sample_counts_shape_and_distribution():
     assert abs(ones / 2000 - 0.25) < 0.05
     # frozen regression for the fixed seed
     assert (zeros, ones) == (1498, 502)
+    assert sample_counts(state, 0, shots=0) == (0, 0)
+    with pytest.raises(ValueError):
+        sample_counts(state, 0, shots=-5)
 
 
 def test_sample_counts_matches_per_shot_draws():

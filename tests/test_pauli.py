@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from qddsim.coeff import EXACT_OPS, I_UNIT, MINUS_ONE, ONE, omega_power
 from qddsim.pauli import (
     DIAG_OCTANT,
-    IDENTITY_ROW,
     PauliLIM,
     PauliString,
     combine,
@@ -21,7 +20,6 @@ from qddsim.pauli import (
     conjugate_lim,
     echelon,
     follow_basis,
-    identity_lim,
     joint_echelon,
     lim_inverse,
     lim_mul,
@@ -85,18 +83,18 @@ def all_strings(n):
 # -- strings ------------------------------------------------------------------
 
 def test_string_constructors_and_codes():
-    s = PauliString.x_at(3, 0)
+    s = PauliString(3, 0b001, 0)
     assert (s.code_at(0), s.code_at(1), s.code_at(2)) == (1, 0, 0)
-    assert PauliString.y_at(2, 1).code_at(1) == 2
-    assert PauliString.z_at(2, 0).code_at(0) == 3
-    assert PauliString.identity(4).is_identity()
-    assert not PauliString.x_at(4, 2).is_identity()
+    assert PauliString(2, 0b10, 0b10).code_at(1) == 2
+    assert PauliString(2, 0, 0b01).code_at(0) == 3
+    assert PauliString(4, 0, 0).is_identity()
+    assert not PauliString(4, 0b0100, 0).is_identity()
 
 
 def test_string_render():
     s = PauliString(3, 0b001, 0b100)  # X at bit 0, Z at bit 2
     assert s.render() == "ZIX"
-    assert PauliString.identity(2).render() == "II"
+    assert PauliString(2, 0, 0).render() == "II"
     assert PauliString(1, 1, 1).render() == "Y"
 
 
@@ -167,7 +165,7 @@ row_st = st.tuples(st.integers(0, 3), st.integers(0, 15), st.integers(0, 15))
 def test_row_mul_matches_lim_mul(r1, r2):
     # unit-phase labels: the kernel's integer phase is lim_mul's ring factor
     assert row_lim(4, row_mul(r1, r2)) == lim_mul(OPS, row_lim(4, r1), row_lim(4, r2))
-    assert row_mul(r1, IDENTITY_ROW) == row_mul(IDENTITY_ROW, r1) == r1
+    assert row_mul(r1, (0, 0, 0)) == row_mul((0, 0, 0), r1) == r1
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -176,7 +174,7 @@ def test_combine_folds_row_mul(rows, mask):
     # any rows, commuting or not: the product in index order
     basis = tuple((string_key(x, z), (k, x, z)) for k, x, z in rows)
     mask &= (1 << len(rows)) - 1
-    want = IDENTITY_ROW
+    want = (0, 0, 0)
     for i, row in enumerate(rows):
         if mask >> i & 1:
             want = row_mul(want, row)
@@ -185,7 +183,7 @@ def test_combine_folds_row_mul(rows, mask):
 
 def group_of(n: int, rows) -> dict:
     """Every product of the rows, closed under lim_mul: string -> row."""
-    members = {(0, 0): IDENTITY_ROW}
+    members = {(0, 0): (0, 0, 0)}
     for row in rows:
         for x, z in list(members):
             prod = lim_mul(OPS, row_lim(n, members[x, z]), row_lim(n, row))
@@ -395,7 +393,7 @@ def test_follow_basis_matches_dense():
 
 
 def test_identity_lim():
-    lim = identity_lim(OPS, 3)
+    lim = PauliLIM(OPS.one, PauliString(3, 0, 0))
     assert lim.is_identity_lim(OPS)
     assert lim.string.n == 3
-    assert PauliLIM(MINUS_ONE, PauliString.identity(3)).is_identity_lim(OPS) is False
+    assert PauliLIM(MINUS_ONE, PauliString(3, 0, 0)).is_identity_lim(OPS) is False
