@@ -1,10 +1,11 @@
 """Gate compilation and application on diagram states.
 
-The simulator applies h, the diagonal phase family (t, tdg, s, sdg, z), the
-Paulis, cz, cx and swap directly as diagram operations; ccx runs as the
-standard seven-T network with native cx.  ``apply_gate`` takes the primitive
-set, which has no cx.  ``compile_gate`` still expands every gate into that
-set (cx as h-cz-h), and the gate counts in reports count that expansion.
+The simulator applies every gate of the set directly as a diagram
+operation: h, the diagonal phase family (t, tdg, s, sdg, z), the Paulis, cz,
+cx, swap and ccx.  ``apply_gate`` takes the primitive set, which has no cx
+or ccx.  ``compile_gate`` still expands every gate into that set (cx as
+h-cz-h, ccx as the standard seven-T network), and the gate counts in reports
+count that expansion.
 
 Every diagram operation is a hashable ``(kind, bits, arg)`` run by one
 driver.  ``_apply`` moves the operation past an edge's label, and the
@@ -15,14 +16,17 @@ immutable, so the operation cache is cleared only to reclaim memory.
 
 ``diag`` multiplies the |1> branch of a bit by omega**arg (t, tdg, s, sdg
 and z), ``proj`` keeps the part of the state in which a bit reads arg, and
-h, cz, cx, swap, x and y take arg 0.  Past a label with an X at the bit, a
-diagonal phase flips to its adjoint and emits a global phase, and a
-projection keeps the other value; Clifford kinds conjugate the label.
+h, cz, cx, swap, ccx, x and y take arg 0.  Past a label with an X at the
+bit, a diagonal phase flips to its adjoint and emits a global phase, and a
+projection keeps the other value; Clifford kinds conjugate the label.  ccx
+is not Clifford: past a label P it leaves a Clifford behind, ccx P = P C ccx,
+which the driver applies to the node's result with the Clifford kinds.
 Identity strings, which include every evdd label, commute with everything.
 In limdd mode Pauli gates reduce to one label multiplication at the root.
 cx with the control above the target flips the target on the control's high
-branch; with the target above, and for swap, the branches at the upper level
-are regrouped by the value of the lower bit through projections.
+branch, and ccx with a control on top applies cx on that branch; with the
+target above, and for swap, the branches at the upper level are regrouped
+by the value of the lower bits through projections.
 """
 from __future__ import annotations
 
@@ -34,13 +38,17 @@ from .coeff import within_coeff_bound
 from .ddcore import DDStore, Edge, State
 from .pauli import (
     DIAG_OCTANT,
+    PauliLIM,
+    PauliString,
     commute_phase_past_lim,
     conjugate_lim,
     lim_mul,
     lim_scale,
     row_lim_mul,
+    row_mul,
+    times_i,
 )
-from .stabtrack import BoundReport, track
+from .stabtrack import BoundReport, t_weight, track
 
 
 @dataclass(frozen=True)
@@ -89,16 +97,6 @@ _CCX_NETWORK = (
 )
 
 
-def _native_ops(gate: GateInstance) -> tuple[GateInstance, ...]:
-    """The gate as ``simulate`` applies it: primitives and cx."""
-    if gate.kind != "ccx":
-        return (gate,)
-    q = gate.qubits
-    return tuple(
-        GateInstance(kind, tuple(q[i] for i in idx)) for kind, idx in _CCX_NETWORK
-    )
-
-
 def compile_gate(gate: GateInstance) -> tuple[GateInstance, ...]:
     """Expand one gate into primitives."""
     if gate.kind in PRIMITIVE_KINDS:
@@ -111,7 +109,10 @@ def compile_gate(gate: GateInstance) -> tuple[GateInstance, ...]:
             GateInstance("h", (t,)),
         )
     if gate.kind == "ccx":
-        return compile_sequence(_native_ops(gate))
+        q = gate.qubits
+        return compile_sequence(
+            GateInstance(kind, tuple(q[i] for i in idx)) for kind, idx in _CCX_NETWORK
+        )
     raise ValueError(f"cannot compile gate kind {gate.kind!r}")
 
 
@@ -163,6 +164,7 @@ def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
         return edge
     lim = edge.lim
     s = lim.string
+    then: Iterable[tuple] = ()
     if s.x or s.z:
         kind, bits, arg = op
         if kind == "diag":
@@ -172,12 +174,40 @@ def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
                 op = (kind, bits, p)
         elif kind == "proj":
             op = (kind, bits, arg ^ ((s.x >> bits[0]) & 1))
+        elif kind == "ccx":
+            lim, then = _ccx_past_lim(store, lim, bits)
         else:
             lim = conjugate_lim(store.ops, lim, kind, bits)
     sub = _apply_node(store, edge.node, op)
+    for clifford in then:
+        sub = _apply(store, sub, clifford)
     if store.is_zero(sub):
         return store.zero_edge(lim.string.n)
     return Edge(lim_mul(store.ops, lim, sub.lim), sub.node)
+
+
+def _ccx_past_lim(store: DDStore, lim: PauliLIM, bits) -> tuple[PauliLIM, list]:
+    """Move ccx(a, b, t) right past the label lim = c * P: ccx P = P Q K ccx,
+    where, from P's X bits xa, xb at the controls and its Z bit zt at the
+    target, the Pauli part Q = (-1)**(zt xa xb) Z_b**(zt xa) Z_a**(zt xb)
+    X_t**(xa xb) and the Clifford part K = CZ(a, b)**zt CX(b->t)**xa
+    CX(a->t)**xb; all these factors commute.  Returns the label c * P Q and
+    the operations of K, to apply after ccx."""
+    a, b, t = bits
+    s = lim.string
+    xa, xb, zt = (s.x >> a) & 1, (s.x >> b) & 1, (s.z >> t) & 1
+    then = []
+    if zt:
+        then.append(("cz", (a, b), 0))
+    if xa:
+        then.append(("cx", (b, t), 0))
+    if xb:
+        then.append(("cx", (a, t), 0))
+    if zt or xa & xb:
+        q = (2 * (zt & xa & xb), (xa & xb) << t, ((zt & xa) << b) | ((zt & xb) << a))
+        k, x, z = row_mul((0, s.x, s.z), q)
+        lim = PauliLIM(times_i(store.ops, lim.factor, k), PauliString(s.n, x, z))
+    return lim, then
 
 
 def _apply_node(store: DDStore, node, op: tuple) -> Edge:
@@ -220,7 +250,8 @@ def _split(store: DDStore, edge: Edge, bit: int) -> tuple[Edge, Edge]:
 
 
 # What each operation does to a node at the level of its highest bit.  The
-# two-bit kinds other than cx take their higher bit first.
+# two-bit kinds other than cx take their higher bit first, and ccx takes its
+# higher control first.
 
 
 def _diag_at(store: DDStore, node, bits, p: int) -> Edge:
@@ -277,9 +308,26 @@ def _swap_at(store: DDStore, node, bits, arg) -> Edge:
     )
 
 
+def _ccx_at(store: DDStore, node, bits, arg) -> Edge:
+    a, b, t = bits
+    if a > t:
+        return store.make_edge(node.low, _apply(store, node.high, ("cx", (b, t), 0)))
+    # |0>(e0 + d) + |1>(e1 - d), d = P11 e1 - P11 e0, P11 projecting both controls
+    ops = store.ops
+    minus = ops.neg(ops.one)
+
+    def p11(e: Edge) -> Edge:
+        return project(store, project(store, e, a, 1), b, 1)
+
+    d = store.add(p11(node.high), _scale_edge(store, minus, p11(node.low)))
+    return store.make_edge(
+        store.add(node.low, d), store.add(node.high, _scale_edge(store, minus, d))
+    )
+
+
 _AT_LEVEL = {
     "diag": _diag_at, "proj": _proj_at, "x": _x_at, "y": _y_at,
-    "h": _h_at, "cz": _cz_at, "cx": _cx_at, "swap": _swap_at,
+    "h": _h_at, "cz": _cz_at, "cx": _cx_at, "swap": _swap_at, "ccx": _ccx_at,
 }
 
 
@@ -345,13 +393,14 @@ def simulate(
 ) -> tuple[State, RunStats]:
     """Run a circuit from the all-zero state and report structural stats.
 
-    ``circuit`` needs ``n_qubits`` and ``gates`` attributes.  The diagram
-    applies cx natively; ``RunStats.counts`` counts the compiled primitive
-    set of ``compile_gate``.  When ``check_bounds`` is set, the stabilizer
-    tableau of ``track`` (native ccx) predicts a width ceiling for every
-    gate and the diagram width is compared against it after that gate;
-    ``check_coeffs`` (exact backend only) verifies the label-size bound the
-    same way.
+    ``circuit`` needs ``n_qubits`` and ``gates`` attributes.  Each gate is
+    one diagram operation, cx and ccx included; ``RunStats.counts`` counts
+    the compiled primitive set of ``compile_gate`` (27 primitives per ccx).
+    When ``check_bounds`` is set, the stabilizer tableau of ``track``
+    (native ccx) predicts a width ceiling for every gate and the diagram
+    width is compared against it after that gate; ``check_coeffs`` (exact
+    backend only) verifies the label-size bound the same way, counting a
+    ccx as the 7 T gates of its network.
     """
     t0 = time.perf_counter()
     n = circuit.n_qubits
@@ -370,15 +419,15 @@ def simulate(
         coeff_ok = None
     t_seen = 0
     for i, gate in enumerate(circuit.gates):
-        for op in _native_ops(gate):
-            bits = tuple(n - 1 - q for q in op.qubits)
-            if op.kind == "cx":  # not a primitive, so not for apply_gate
-                _check_bits(n, bits)
-                root = _apply(store, root, ("cx", bits, 0))
-            else:
-                root = apply_gate(store, root, op.kind, bits)
-            if op.kind in ("t", "tdg"):
-                t_seen += 1
+        bits = tuple(n - 1 - q for q in gate.qubits)
+        if gate.kind in ("cx", "ccx"):  # not primitives, so not for apply_gate
+            _check_bits(n, bits)
+            if gate.kind == "ccx":  # higher control first, as _ccx_at expects
+                bits = (max(bits[:2]), min(bits[:2]), bits[2])
+            root = _apply(store, root, (gate.kind, bits, 0))
+        else:
+            root = apply_gate(store, root, gate.kind, bits)
+        t_seen += t_weight(gate.kind)
         if report is not None:
             width = max(store.stats(root, n).width_per_level, default=0)
             nullity, local_nullity = report.per_gate[i]

@@ -12,8 +12,9 @@ row in the string span) plays the same role for evdd mode.
 Rows are kernel rows (k, x, z) of ``pauli`` with k in {0, 2}: i**k times
 the string.  Stabilizer groups are abelian and never contain minus identity,
 so products are order-independent and every member is fixed by its string.
-Membership and the local nullity reduce strings against the group's echelon
-basis; the nullities are ranks, so they do not depend on the key order.
+Membership reduces strings against the group's echelon basis, and the local
+nullity reads the fully reduced basis of the string keys; the nullities are
+ranks, so they do not depend on the key order.
 """
 from __future__ import annotations
 
@@ -110,14 +111,35 @@ class StabilizerTableau:
         return self.n - len(self.rows)
 
     def local_nullity(self) -> int:
-        """Qubits not pinned by any weight-one string in the group's span."""
-        basis = echelon(self.rows)
-        pinned = 0
-        for k in range(self.n):
-            for x, z in ((1 << k, 0), (1 << k, 1 << k), (0, 1 << k)):
-                if reduce_key(basis, string_key(x, z))[0] == 0:
-                    pinned += 1
+        """Qubits not pinned by any weight-one string in the group's span.
+
+        In the fully reduced basis of the string keys, each lead bit is set
+        in its own row only, so a span member equals the sum of the rows
+        whose leads it has.  A weight-one string at qubit q has key bits at
+        2q and 2q+1 only: it is in the span iff one of the (at most two)
+        rows leading there, or their sum, has no other bit."""
+        rows: dict[int, int] = {}  # lead bit -> key
+        for _, x, z in self.rows:
+            key = string_key(x, z)
+            while key:
+                lead = key.bit_length() - 1
+                have = rows.get(lead)
+                if have is None:
+                    rows[lead] = key
                     break
+                key ^= have
+        leads = sorted(rows)
+        for i, lead in enumerate(leads):
+            bit, key = 1 << lead, rows[lead]
+            for above in leads[i + 1:]:
+                if rows[above] & bit:
+                    rows[above] ^= key
+        pinned = 0
+        for q in range(self.n):
+            outside = ~(3 << 2 * q)
+            lo, hi = rows.get(2 * q, 0), rows.get(2 * q + 1, 0)
+            if any(r and not r & outside for r in (lo, hi, lo ^ hi)):
+                pinned += 1
         return self.n - pinned
 
 
@@ -133,7 +155,7 @@ class BoundReport(NamedTuple):
     per_gate: tuple[tuple[int, int], ...]  # (nullity, local nullity) after each gate
 
 
-def _t_weight(kind: str) -> int:
+def t_weight(kind: str) -> int:
     if kind in ("t", "tdg"):
         return 1
     if kind == "ccx":
@@ -164,7 +186,7 @@ def track(circuit, native_ccx: bool = True) -> BoundReport:
         else:
             bits = tuple(n - 1 - q for q in gate.qubits)
             dropped += tab.apply_gate(gate.kind, bits)
-        t_count += _t_weight(gate.kind)
+        t_count += t_weight(gate.kind)
         trace.append((tab.nullity(), tab.local_nullity()))
     nullity = tab.nullity()
     local = tab.local_nullity()

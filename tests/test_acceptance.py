@@ -31,12 +31,12 @@ from qddsim.coeff import (
     within_coeff_bound,
 )
 from qddsim.ddcore import DDStore
-from qddsim.gates import GATE_ARITY, apply_gate, verify_coeff_bound
+from qddsim.gates import GATE_ARITY, apply_gate, compile_gate, verify_coeff_bound
 from qddsim.measure import measurement_probability
-from qddsim.stabtrack import track
+from qddsim.stabtrack import StabilizerTableau, track
 
 from conftest import LEADING, MOTIVATING, random_corpus
-from test_stabtrack import apply_row, run_tableau
+from test_stabtrack import apply_row, local_nullity_oracle, run_tableau
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -225,6 +225,22 @@ def _ccx_corpus() -> list[Circuit]:
                 )
         out.append(Circuit(n, tuple(gates)))
     return out
+
+
+def test_track_per_gate_matches_local_nullity_oracle():
+    """``track``'s per-gate pairs on the ccx corpus, against the tableau
+    stepped by hand and the defining weight-one reduction."""
+    for circ in _ccx_corpus():
+        n = circ.n_qubits
+        for native in (True, False):
+            tab = StabilizerTableau(n)
+            want = []
+            for gate in circ.gates:
+                steps = compile_gate(gate) if gate.kind == "ccx" and not native else (gate,)
+                for g in steps:
+                    tab.apply_gate(g.kind, tuple(n - 1 - q for q in g.qubits))
+                want.append((tab.nullity(), local_nullity_oracle(tab)))
+            assert track(circ, native_ccx=native).per_gate == tuple(want)
 
 
 def test_c07_tracked_group_soundness(corpus_main, corpus_hsparse, dense_cache):

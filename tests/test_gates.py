@@ -7,7 +7,16 @@ import sys
 
 import pytest
 
-from qddsim import Circuit, GateInstance, dense_simulate, gen_random, gen_wstate, simulate, track
+from qddsim import (
+    Circuit,
+    GateInstance,
+    dense_simulate,
+    gen_grover,
+    gen_random,
+    gen_wstate,
+    simulate,
+    track,
+)
 from qddsim import gates
 from qddsim.coeff import ONE, ZERO, CoeffPolicy
 from qddsim.ddcore import DDStore
@@ -234,6 +243,115 @@ def test_native_cx_and_swap_match_compiled(mode):
                 assert native.node is ref.node, (kind, a, b)
                 assert store.to_vector(native) == store.to_vector(ref)
                 store.check_invariants(native)
+
+
+def ccx_network(store: DDStore, edge, bits: tuple[int, int, int]):
+    """Reference: ccx written out as its 15 native gates (h, t, tdg, cx)."""
+    for kind, idx in gates._CCX_NETWORK:
+        b = tuple(bits[i] for i in idx)
+        if kind == "cx":
+            edge = _apply(store, edge, ("cx", b, 0))
+        else:
+            edge = apply_gate(store, edge, kind, b)
+    return edge
+
+
+def _native_ccx(store: DDStore, edge, a: int, b: int, t: int):
+    return _apply(store, edge, ("ccx", (max(a, b), min(a, b), t), 0))
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_native_ccx_matches_network(monkeypatch, mode, backend):
+    """Every ordered triple on 3-5 qubits; past a label the driver leaves a
+    Clifford behind, and each of its factors gets exercised in limdd."""
+    real = gates._ccx_past_lim
+    branches: set[str] = set()
+
+    def spy(store, lim, bits):
+        a, b, t = bits
+        s = lim.string
+        xa, xb, zt = (s.x >> a) & 1, (s.x >> b) & 1, (s.z >> t) & 1
+        branches.update(
+            name for name, hit in (("xa", xa), ("xb", xb), ("xa*xb", xa & xb), ("zt", zt))
+            if hit
+        )
+        return real(store, lim, bits)
+
+    monkeypatch.setattr(gates, "_ccx_past_lim", spy)
+    store = DDStore(policy=CoeffPolicy(backend), mode=mode)
+    triples = 0
+    for n, root in _entangled_states(store, 12, seed=6607):
+        for a, b, t in itertools.permutations(range(n), 3):
+            triples += 1
+            native = _native_ccx(store, root, a, b, t)
+            ref = ccx_network(store, root, (a, b, t))
+            if backend == "exact":
+                assert native.node is ref.node, (a, b, t)
+                assert store.to_vector(native) == store.to_vector(ref)
+                store.check_invariants(native)
+            else:
+                got, want = store.to_vector(native), store.to_vector(ref)
+                assert max(abs(complex(u) - complex(v)) for u, v in zip(got, want)) < 1e-9
+                assert store.node_count(native) <= store.node_count(ref), (a, b, t)
+    assert triples > 100
+    if mode == "limdd":
+        assert branches == {"xa", "xb", "xa*xb", "zt"}
+    else:
+        assert not branches  # evdd labels are identity strings
+
+
+def _with_ccx_written_out(circ: Circuit) -> Circuit:
+    out = []
+    for g in circ.gates:
+        if g.kind == "ccx":
+            out.extend(
+                GateInstance(kind, tuple(g.qubits[i] for i in idx))
+                for kind, idx in gates._CCX_NETWORK
+            )
+        else:
+            out.append(g)
+    return Circuit(circ.n_qubits, tuple(out))
+
+
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+@pytest.mark.parametrize("n_search", [4, 6])
+def test_grover_native_ccx_keeps_bounds_and_nodes(monkeypatch, mode, n_search):
+    circ = gen_grover(n_search, 5)
+    t_counts: list[int] = []
+    real = gates.verify_coeff_bound
+
+    def spy(store, root, n, t_count):
+        t_counts.append(t_count)
+        return real(store, root, n, t_count)
+
+    monkeypatch.setattr(gates, "verify_coeff_bound", spy)
+    state, run = simulate(circ, mode=mode, check_coeffs=True, check_bounds=True)
+    assert run.coeff_check is True and run.bound_check is True
+    # the coefficient bound counts each ccx as its network's 7 T gates
+    want, seen = [], 0
+    for g in circ.gates:
+        seen += count_gates(compile_gate(g)).t_count
+        want.append(seen)
+    assert t_counts == want and seen == run.counts.t_count
+    _, ref = simulate(_with_ccx_written_out(circ), mode=mode)
+    assert run.final_nodes == ref.final_nodes
+    assert run.peak_nodes <= ref.peak_nodes
+    if n_search == 4:
+        assert state.to_vector() == dense_simulate(circ)
+
+
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_ccx_on_bottom_of_deep_register(mode):
+    n = 400
+    circ = Circuit(n, (
+        GateInstance("x", (n - 3,)), GateInstance("x", (n - 2,)),
+        GateInstance("ccx", (n - 3, n - 2, n - 1)),
+        GateInstance("ccx", (n - 1, n - 2, n - 3)),
+    ))
+    state, _ = simulate(circ, mode=mode)
+    assert state.amplitude(0b011) == ONE  # the second ccx turned q[n-3] off
+    assert state.amplitude(0b111) == ZERO
 
 
 @pytest.mark.parametrize("mode", ["limdd", "evdd"])

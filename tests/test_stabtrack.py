@@ -7,6 +7,7 @@ import pytest
 
 from qddsim import Circuit, GateInstance, dense_simulate, gen_random, simulate
 from qddsim.coeff import I_UNIT, MINUS_ONE, ONE, ZERO
+from qddsim.pauli import echelon, reduce_key, string_key
 from qddsim.stabtrack import BoundReport, StabilizerTableau, track
 
 from conftest import bell_pair
@@ -135,6 +136,40 @@ def test_single_ccx_never_drops_more_than_three():
             report = track(circ, native_ccx=native)
             assert report.nullity <= 3
             assert report.dropped_rows <= 3
+
+
+# -- local nullity -----------------------------------------------------------
+
+def local_nullity_oracle(tab: StabilizerTableau) -> int:
+    """The defining count: qubits for which none of the three weight-one
+    strings reduces to nothing against an echelon basis of the rows."""
+    basis = echelon(tab.rows)
+    pinned = 0
+    for k in range(tab.n):
+        for x, z in ((1 << k, 0), (1 << k, 1 << k), (0, 1 << k)):
+            if reduce_key(basis, string_key(x, z))[0] == 0:
+                pinned += 1
+                break
+    return tab.n - pinned
+
+
+def test_local_nullity_matches_oracle_on_random_tableaux():
+    rng = random.Random(8086)
+    kinds = ("h", "s", "sdg", "x", "z", "cx", "cz", "swap", "t", "tdg")
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        tab = StabilizerTableau(n)
+        for _ in range(rng.randint(0, 40)):
+            kind = rng.choice(kinds if n > 1 else kinds[:5] + kinds[8:])
+            arity = 2 if kind in ("cx", "cz", "swap") else 1
+            tab.apply_gate(kind, tuple(rng.sample(range(n), arity)))
+            assert tab.local_nullity() == local_nullity_oracle(tab)
+    for _ in range(300):  # arbitrary, possibly dependent, rows
+        n = rng.randint(1, 9)
+        tab = StabilizerTableau(n)
+        masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(2 * rng.randint(0, n + 2))]
+        tab.rows = [(0, x, z) for x, z in zip(masks[::2], masks[1::2])]
+        assert tab.local_nullity() == local_nullity_oracle(tab)
 
 
 # -- track() reports -------------------------------------------------------
