@@ -21,7 +21,7 @@ from .circuit import (
     parse_qasm,
 )
 from .coeff import CoeffPolicy, RingValue, render
-from .ddcore import State
+from .ddcore import DDStore, State
 from .gates import RunStats, simulate
 from .measure import (
     ZeroStateError,
@@ -145,20 +145,12 @@ def _run_report(
     check_bounds: bool = False,
     gc_capacity: int | None = None,
 ) -> tuple[State, RunStats, dict]:
-    kwargs = {}
-    if gc_capacity is not None:
-        kwargs["gc_capacity"] = gc_capacity
-    ratio = _gc_ratio()
-    if ratio is not None:
-        kwargs["gc_ratio"] = ratio
+    gc = {"gc_capacity": gc_capacity, "gc_ratio": _gc_ratio()}
+    store = DDStore(
+        policy, backend, norm_rule, **{k: v for k, v in gc.items() if v is not None}
+    )
     state, run = simulate(
-        circuit,
-        policy=policy,
-        mode=backend,
-        norm_rule=norm_rule,
-        check_coeffs=check_coeffs,
-        check_bounds=check_bounds,
-        **kwargs,
+        circuit, check_coeffs=check_coeffs, check_bounds=check_bounds, store=store
     )
     p0 = measurement_probability(state, qubit)
     samples = None

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 
 class RingValue:
     """One exact coefficient ``(a + b*sqrt2 + c*i + d*i*sqrt2) / den``."""
@@ -293,8 +293,12 @@ class CoeffPolicy:
             )
         if self.backend == "exact" and self.tolerance != 0.0:
             raise ValueError("exact backend has no tolerance")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
+        # NaN makes every comparison false (then a division by zero), and an
+        # infinite tolerance treats every value as zero.
+        if not (isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(
+                f"tolerance must be finite and non-negative, got {self.tolerance}"
+            )
 
 
 def _argmin_cmp(x: RingValue, y: RingValue) -> int:

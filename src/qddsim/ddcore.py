@@ -11,9 +11,10 @@ echelon basis of integer-phase rows from the ``pauli`` group kernel; the
 double-coset and coset minimizations reduce against those bases and touch
 the scalar ring once, at the end.
 
-Zero branches are represented by edges whose label factor is the backend
-zero; free-standing zero edges point at the terminal and carry the level in
-their (identity) string length.
+Every zero edge, a node's zero child included, is ``zero_edge(level)``: the
+backend zero as factor, the identity string (whose length carries the
+level) and the terminal as target.  ``make_edge`` is total: two zero
+children give the zero edge one level up.
 """
 from __future__ import annotations
 
@@ -106,7 +107,6 @@ class DDStore:
         self.mode = mode
         self.norm_rule = norm_rule
         self.terminal = Node(0, 0, None, None)
-        self.nodes: dict[int, Node] = {0: self.terminal}
         self.unique: dict[tuple, Node] = {}
         self.next_id = 1
         self.add_cache: dict[tuple, Edge] = {}
@@ -157,43 +157,53 @@ class DDStore:
             node = Node(self.next_id, level, low, high)
             self.next_id += 1
             self.unique[key] = node
-            self.nodes[node.id] = node
-            if len(self.nodes) > self.peak_nodes:
-                self.peak_nodes = len(self.nodes)
+            if len(self.unique) + 1 > self.peak_nodes:
+                self.peak_nodes = len(self.unique) + 1
         return node
 
     # -- canonical edge construction ---------------------------------------
 
     def make_edge(self, low: Edge, high: Edge) -> Edge:
-        """Build the canonical edge for |0>(low) + |1>(high), one level up."""
+        """Build the canonical edge for |0>(low) + |1>(high), one level up;
+        two zero children give the zero edge."""
         m = low.lim.string.n
         if high.lim.string.n != m:
             raise DiagramError("child edges are at different levels")
-        low_zero = self.is_zero(low)
-        high_zero = self.is_zero(high)
+        low_zero, high_zero = self.is_zero(low), self.is_zero(high)
         if low_zero and high_zero:
-            # Exact arithmetic can only get here through caller error (the
-            # addition shortcuts catch true cancellation first); under a float
-            # tolerance a fully cancelled pair is a legitimate zero vector.
-            if self.ops.backend == "exact":
-                raise DiagramError("both children are zero")
             return self.zero_edge(m + 1)
-        if self.mode == "evdd":
-            return self._make_edge_evdd(m, low, high, low_zero, high_zero)
-        return self._make_edge_limdd(m, low, high, low_zero, high_zero)
-
-    def _make_edge_evdd(
-        self, m: int, low: Edge, high: Edge, low_zero: bool, high_zero: bool
-    ) -> Edge:
-        ops = self.ops
-        one = self.identity_lim(m)
-        zero = PauliLIM(ops.zero, PauliString(m, 0, 0))
-        if low_zero:
-            node = self._make_node(m + 1, Edge(zero, high.node), Edge(one, high.node))
-            return Edge(_lift(high.lim, m + 1), node)
+        swap = self.mode == "limdd" and (
+            low_zero or (not high_zero and low.node.id > high.node.id)
+        )
+        if swap:
+            # |0>(low) + |1>(high) is X on the new top qubit times
+            # |0>(high) + |1>(low), whose children are in canonical order.
+            low, high, low_zero, high_zero = high, low, False, low_zero
         if high_zero:
-            node = self._make_node(m + 1, Edge(one, low.node), Edge(zero, low.node))
-            return Edge(_lift(low.lim, m + 1), node)
+            node = self._make_node(
+                m + 1, Edge(self.identity_lim(m), low.node), self.zero_edge(m)
+            )
+            edge = Edge(_lift(low.lim, m + 1), node)
+        elif self.mode == "evdd":
+            edge = self._make_edge_evdd(m, low, high, low_zero)
+        else:
+            a_hat = lim_div(self.ops, low.lim, high.lim)
+            c_hat, root_lim = self._get_labels(a_hat, low.node, high.node, low.lim)
+            node = self._make_node(
+                m + 1, Edge(self.identity_lim(m), low.node), Edge(c_hat, high.node)
+            )
+            edge = Edge(root_lim, node)
+        if swap:
+            edge = Edge(row_lim_mul(self.ops, (0, 1 << m, 0), edge.lim), edge.node)
+        return edge
+
+    def _make_edge_evdd(self, m: int, low: Edge, high: Edge, low_zero: bool) -> Edge:
+        ops = self.ops
+        if low_zero:
+            node = self._make_node(
+                m + 1, self.zero_edge(m), Edge(self.identity_lim(m), high.node)
+            )
+            return Edge(_lift(high.lim, m + 1), node)
         a, b = low.lim.factor, high.lim.factor
         if self.norm_rule == "l2":
             norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
@@ -209,35 +219,10 @@ class DDStore:
         c = ops.div(b, a)
         node = self._make_node(
             m + 1,
-            Edge(one, low.node),
+            Edge(self.identity_lim(m), low.node),
             Edge(PauliLIM(c, PauliString(m, 0, 0)), high.node),
         )
         return Edge(PauliLIM(a, PauliString(m + 1, 0, 0)), node)
-
-    def _make_edge_limdd(
-        self, m: int, low: Edge, high: Edge, low_zero: bool, high_zero: bool
-    ) -> Edge:
-        ops = self.ops
-        x_top = (0, 1 << m, 0)
-        if low_zero:
-            inner = self._make_edge_limdd(m, high, low, False, True)
-            return Edge(row_lim_mul(ops, x_top, inner.lim), inner.node)
-        if high_zero:
-            node = self._make_node(
-                m + 1,
-                Edge(self.identity_lim(m), low.node),
-                Edge(PauliLIM(ops.zero, PauliString(m, 0, 0)), low.node),
-            )
-            return Edge(_lift(low.lim, m + 1), node)
-        if low.node.id > high.node.id:
-            inner = self._make_edge_limdd(m, high, low, False, False)
-            return Edge(row_lim_mul(ops, x_top, inner.lim), inner.node)
-        a_hat = lim_div(ops, low.lim, high.lim)
-        c_hat, root_lim = self._get_labels(a_hat, low.node, high.node, low.lim)
-        node = self._make_node(
-            m + 1, Edge(self.identity_lim(m), low.node), Edge(c_hat, high.node)
-        )
-        return Edge(root_lim, node)
 
     def _get_labels(
         self, a_hat: PauliLIM, v0: Node, v1: Node, outer: PauliLIM
@@ -417,14 +402,11 @@ class DDStore:
         key = (e.node.id, lim_key(ops, c), f.node.id)
         hit = self.add_cache.get(key)
         if hit is None:
-            left = Edge(self.identity_lim(m), e.node)
             right = Edge(c, f.node)
-            r0 = self.add(self.follow(left, 0), self.follow(right, 0))
-            r1 = self.add(self.follow(left, 1), self.follow(right, 1))
-            if self.is_zero(r0) and self.is_zero(r1):
-                hit = self.zero_edge(m)
-            else:
-                hit = self.make_edge(r0, r1)
+            hit = self.make_edge(
+                self.add(e.node.low, self.follow(right, 0)),
+                self.add(e.node.high, self.follow(right, 1)),
+            )
             self.add_cache[key] = hit
         if self.is_zero(hit):
             return self.zero_edge(m)
@@ -483,10 +465,15 @@ class DDStore:
                 raise DiagramError(f"bad low label width at node {node.id}")
             if high.lim.string.n != node.level - 1:
                 raise DiagramError(f"bad high label width at node {node.id}")
+            for e in (low, high):
+                if self.is_zero(e) and (
+                    e.node is not self.terminal or not e.lim.string.is_identity()
+                ):
+                    raise DiagramError(f"zero edge off the terminal at node {node.id}")
             if self.is_zero(low):
                 if self.mode == "limdd":
                     raise DiagramError(f"zero low branch at node {node.id}")
-                if not (low.node is high.node and ops.eq(high.lim.factor, ops.one)):
+                if not ops.eq(high.lim.factor, ops.one):
                     raise DiagramError(f"bad zero-low form at node {node.id}")
                 continue
             if self.mode == "evdd":
@@ -494,23 +481,16 @@ class DDStore:
                     raise DiagramError(f"pauli label in evdd at node {node.id}")
                 if self.norm_rule == "low" and not ops.eq(low.lim.factor, ops.one):
                     raise DiagramError(f"unnormalized low weight at node {node.id}")
-                if self.is_zero(high) and low.node is not high.node:
-                    raise DiagramError(f"bad zero-high form at node {node.id}")
                 continue
             if not low.lim.is_identity_lim(ops):
                 raise DiagramError(f"non-identity low label at node {node.id}")
             if self.is_zero(high):
-                if low.node is not high.node:
-                    raise DiagramError(f"bad zero-high form at node {node.id}")
                 continue
             if low.node.id > high.node.id:
                 raise DiagramError(f"unordered children at node {node.id}")
             c_hat, undo = self._get_labels(high.lim, low.node, high.node, low.lim)
             if lim_key(ops, c_hat) != lim_key(ops, high.lim) or not undo.is_identity_lim(ops):
                 raise DiagramError(f"non-canonical high label at node {node.id}")
-
-    def node_count(self, root: Edge) -> int:
-        return sum(1 for n in self.reachable([root]).values() if n.level > 0)
 
     def clear_op_caches(self) -> None:
         self.op_cache.clear()
@@ -520,8 +500,7 @@ class DDStore:
         """Mark-and-sweep from the given roots; node ids are stable."""
         live = self.reachable(roots)
         live[0] = self.terminal
-        dropped = len(self.nodes) - len(live)
-        self.nodes = live
+        dropped = len(self.unique) + 1 - len(live)
         self.unique = {}
         for node in live.values():
             if node.level > 0:
@@ -537,10 +516,10 @@ class DDStore:
         return dropped
 
     def maybe_collect(self, roots: Iterable[Edge]) -> bool:
-        if len(self.nodes) < self.gc_capacity:
+        if len(self.unique) + 1 < self.gc_capacity:
             return False
         self.collect(roots)
-        while len(self.nodes) > self.gc_capacity * self.gc_ratio:
+        while len(self.unique) + 1 > self.gc_capacity * self.gc_ratio:
             self.gc_capacity *= 2
         return True
 

@@ -151,12 +151,6 @@ def _check_bits(n: int, bits: tuple[int, ...]) -> None:
             raise ValueError(f"gate bit {b} out of range for {n} qubits")
 
 
-def _join(store: DDStore, level: int, low: Edge, high: Edge) -> Edge:
-    if store.is_zero(low) and store.is_zero(high):
-        return store.zero_edge(level)
-    return store.make_edge(low, high)
-
-
 def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
     """The operation applied to the edge's state: moved past the edge's
     label, then applied to its node."""
@@ -219,9 +213,7 @@ def _apply_node(store: DDStore, node, op: tuple) -> Edge:
     if node.level - 1 == max(bits):
         res = _AT_LEVEL[kind](store, node, bits, arg)
     else:
-        res = _join(
-            store, node.level, _apply(store, node.low, op), _apply(store, node.high, op)
-        )
+        res = store.make_edge(_apply(store, node.low, op), _apply(store, node.high, op))
     store.op_cache[key] = res
     return res
 
@@ -261,7 +253,7 @@ def _diag_at(store: DDStore, node, bits, p: int) -> Edge:
 def _proj_at(store: DDStore, node, bits, value: int) -> Edge:
     zero = store.zero_edge(bits[0])
     low, high = (zero, node.high) if value else (node.low, zero)
-    return _join(store, node.level, low, high)
+    return store.make_edge(low, high)
 
 
 def _x_at(store: DDStore, node, bits, arg) -> Edge:
@@ -387,8 +379,6 @@ def simulate(
     *,
     check_coeffs: bool = False,
     check_bounds: bool = False,
-    gc_capacity: int | None = None,
-    gc_ratio: float | None = None,
     store: DDStore | None = None,
 ) -> tuple[State, RunStats]:
     """Run a circuit from the all-zero state and report structural stats.
@@ -400,17 +390,15 @@ def simulate(
     (native ccx) predicts a width ceiling for every gate and the diagram
     width is compared against it after that gate; ``check_coeffs`` (exact
     backend only) verifies the label-size bound the same way, counting a
-    ccx as the 7 T gates of its network.
+    ccx as the 7 T gates of its network.  A given ``store`` supplies the
+    coefficient policy, diagram mode, normalization rule and garbage
+    collection settings, and ``policy``, ``mode`` and ``norm_rule`` are
+    ignored; without one, a fresh store with the default collector is used.
     """
     t0 = time.perf_counter()
     n = circuit.n_qubits
     if store is None:
-        kwargs = {}
-        if gc_capacity is not None:
-            kwargs["gc_capacity"] = gc_capacity
-        if gc_ratio is not None:
-            kwargs["gc_ratio"] = gc_ratio
-        store = DDStore(policy=policy, mode=mode, norm_rule=norm_rule, **kwargs)
+        store = DDStore(policy=policy, mode=mode, norm_rule=norm_rule)
     root = store.zero_state(n)
     report = track(circuit) if check_bounds else None
     coeff_ok: bool | None = True if check_coeffs else None

@@ -144,6 +144,21 @@ def test_simulate_exit_one_on_bad_input(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error: shots")
 
 
+def test_non_finite_tolerance_is_one_error_line(qasm_file, capsys):
+    path = qasm_file(LEADING)
+    for value in ("nan", "inf"):
+        for argv in (
+            ["simulate", path, "--coeffs", "float"],
+            ["compare", path],
+            ["bench", "wstate", "--sizes", "2"],
+        ):
+            assert main(argv + ["--tolerance", value]) == 1, (argv, value)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: tolerance")
+            assert captured.err.count("\n") == 1, captured.err
+
+
 def test_simulate_exit_one_on_resource_errors(tmp_path, capsys, monkeypatch):
     deep = tmp_path / "deep.qasm"
     deep.write_text("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[600];\nh q[599];\n")

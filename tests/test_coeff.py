@@ -186,8 +186,9 @@ def test_coeff_policy_validation():
     assert CoeffPolicy("float", 0.0).tolerance == 0.0
     with pytest.raises(ValueError):
         CoeffPolicy("exact", 1e-9)
-    with pytest.raises(ValueError):
-        CoeffPolicy("float", -1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            CoeffPolicy("float", bad)
     with pytest.raises(ValueError):
         CoeffPolicy("decimal")
 

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qddsim import GateInstance, dense_simulate, gen_random, simulate
+from qddsim import (
+    GateInstance,
+    dense_simulate,
+    gen_grover,
+    gen_random,
+    gen_wstate,
+    simulate,
+)
 from qddsim.coeff import (
     EXACT_OPS,
     I_UNIT,
@@ -87,9 +94,7 @@ def test_make_edge_zero_high():
         e = store.make_edge(store.terminal_edge(ONE), store.zero_edge(0))
         node = e.node
         assert e.lim.factor == ONE and e.lim.string.is_identity()
-        assert store.is_zero(node.high)
-        # zero edges point at the sibling's target
-        assert node.high.node is node.low.node
+        assert node.high == store.zero_edge(0)
         assert edge_vec(store, e) == [ONE, ZERO]
 
 
@@ -100,14 +105,12 @@ def test_make_edge_zero_low_redirect():
         assert edge_vec(store, e) == [ZERO, RingValue(2)]
 
 
-def test_make_edge_both_zero_rejected():
-    store = fresh()
-    with pytest.raises(DiagramError):
-        store.make_edge(store.zero_edge(0), store.zero_edge(0))
-    # under a tolerance, total cancellation is representable
-    fstore = DDStore(policy=CoeffPolicy("float", 1e-12))
-    z = fstore.make_edge(fstore.zero_edge(0), fstore.zero_edge(0))
-    assert fstore.is_zero(z) and z.lim.string.n == 1
+def test_make_edge_both_zero_gives_zero_edge():
+    for mode, backend in itertools.product(("limdd", "evdd"), ("exact", "float")):
+        store = fresh(mode, policy=CoeffPolicy(backend))
+        for m in range(3):
+            z = store.make_edge(store.zero_edge(m), store.zero_edge(m))
+            assert z == store.zero_edge(m + 1), (mode, backend, m)
 
 
 def test_make_edge_evdd_low_factoring():
@@ -385,12 +388,13 @@ def test_cached_rows_have_distinct_descending_leads():
             state, _ = simulate(circ, mode="limdd", store=store)
             store.stab_gens(state.root.node)
         assert len(store.stab_cache) > 1
+        nodes = {node.id: node for node in store.unique.values()}
         for node_id, rows in store.stab_cache.items():
             leads = [key.bit_length() - 1 for key, _ in rows]
             assert leads == sorted(set(leads), reverse=True)
             for key, (k, x, z) in rows:
                 assert key == string_key(x, z) and k in (0, 2)
-            node = store.nodes.get(node_id)
+            node = nodes.get(node_id)
             if node is not None and 0 < node.level <= 3:
                 vec = edge_vec(store, Edge(store.identity_lim(node.level), node))
                 assert expand_generators(store, node) == brute_force_group(vec)
@@ -501,6 +505,15 @@ def test_check_invariants_rejects_corrupted_store():
     node.low = Edge(PauliLIM(RingValue(2), node.low.lim.string), node.low.node)
     with pytest.raises(DiagramError):
         store.check_invariants(state.root)
+    # a zero child that points at its sibling's node instead of the terminal
+    for mode in ("limdd", "evdd"):
+        store = fresh(mode)
+        root = store.zero_state(2)
+        store.check_invariants(root)
+        top = root.node
+        top.high = Edge(top.high.lim, top.low.node)
+        with pytest.raises(DiagramError):
+            store.check_invariants(root)
 
 
 # -- stats and GC --------------------------------------------------------------
@@ -520,10 +533,9 @@ def test_gc_preserves_live_roots():
     kept, _ = simulate(keep_c, mode="limdd", store=store)
     dropped_state, _ = simulate(drop_c, mode="limdd", store=store)
     before_vec = kept.to_vector()
-    table_before = len(store.nodes)
+    table_before = len(store.unique)
     freed = store.collect([kept.root])
-    assert freed >= 0
-    assert len(store.nodes) <= table_before
+    assert freed == table_before - len(store.unique) > 0
     assert kept.to_vector() == before_vec
     store.check_invariants(kept.root)
     # idempotent
@@ -546,4 +558,22 @@ def test_maybe_collect_triggers_and_grows_capacity():
     roots.append(state.root)
     engaged = store.maybe_collect(roots)
     # with such a tiny capacity the collector must have engaged at least once
-    assert engaged or store.gc_runs > 0 or len(store.nodes) < 8
+    assert engaged or store.gc_runs > 0 or len(store.unique) + 1 < 8
+
+
+# (final_nodes, peak_nodes, gc_runs) on exact coefficients with gc_capacity=64
+GC_PINNED = {
+    ("limdd", "wstate-32"): (63, 184, 67),
+    ("evdd", "wstate-32"): (64, 187, 83),
+    ("limdd", "grover-6"): (16, 72, 21),
+    ("evdd", "grover-6"): (16, 72, 40),
+}
+
+
+@pytest.mark.parametrize("mode,circuit", list(GC_PINNED))
+def test_gc_engaged_runs_pinned(mode, circuit):
+    """Runs whose collector engages many times keep their node counts."""
+    circ = gen_wstate(32) if circuit == "wstate-32" else gen_grover(6, 5)
+    state, run = simulate(circ, store=DDStore(mode=mode, gc_capacity=64))
+    assert (run.final_nodes, run.peak_nodes, run.gc_runs) == GC_PINNED[mode, circuit]
+    state.check()

@@ -293,7 +293,8 @@ def test_native_ccx_matches_network(monkeypatch, mode, backend):
             else:
                 got, want = store.to_vector(native), store.to_vector(ref)
                 assert max(abs(complex(u) - complex(v)) for u, v in zip(got, want)) < 1e-9
-                assert store.node_count(native) <= store.node_count(ref), (a, b, t)
+                assert (store.stats(native, n).node_count
+                        <= store.stats(ref, n).node_count), (a, b, t)
     assert triples > 100
     if mode == "limdd":
         assert branches == {"xa", "xb", "xa*xb", "zt"}
@@ -455,8 +456,8 @@ def test_gc_kwargs_respected():
         for q in range(4)
         for k in ("h", "t", "h", "t", "h")
     ))
-    _, run = simulate(circ, gc_capacity=8, gc_ratio=0.5)
+    _, run = simulate(circ, store=DDStore(gc_capacity=8, gc_ratio=0.5))
     assert run.gc_runs >= 1
     for kwargs in ({"gc_capacity": -3}, {"gc_capacity": 0}, {"gc_ratio": 0.0}):
         with pytest.raises(ValueError):
-            simulate(circ, **kwargs)
+            simulate(circ, store=DDStore(**kwargs))
