@@ -338,12 +338,23 @@ class ExactOps:
     def sub(x: RingValue, y: RingValue) -> RingValue:
         return x - y
 
+    # Most factors the diagram core multiplies or divides by are the ONE
+    # that identity labels carry, or the value being divided, so those
+    # operands skip the ring.
     @staticmethod
     def mul(x: RingValue, y: RingValue) -> RingValue:
+        if x is ONE:
+            return y
+        if y is ONE:
+            return x
         return x * y
 
     @staticmethod
     def div(x: RingValue, y: RingValue) -> RingValue:
+        if y is ONE:
+            return x
+        if x == y and not y.is_zero():
+            return ONE
         return x / y
 
     @staticmethod

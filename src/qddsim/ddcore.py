@@ -9,7 +9,10 @@ freedom the children's stabilizer groups allow, so states that differ only
 by a Pauli with a phase share one node.  Each node's group is cached as an
 echelon basis of integer-phase rows from the ``pauli`` group kernel; the
 double-coset and coset minimizations reduce against those bases and touch
-the scalar ring once, at the end.
+the scalar ring once, at the end.  The joint basis of a child pair is built
+once and serves both the high label and the parent's group.  Children that a
+stored node already holds are canonical, so ``make_edge`` returns that node
+without canonicalizing them again.
 
 Every zero edge, a node's zero child included, is ``zero_edge(level)``: the
 backend zero as factor, the identity string (whose length carries the
@@ -112,6 +115,9 @@ class DDStore:
         self.add_cache: dict[tuple, Edge] = {}
         self.op_cache: dict[tuple, Edge] = {}
         self.stab_cache: dict[int, Basis] = {0: ()}
+        self.joint_cache: dict[tuple[int, int], tuple] = {}
+        self._identities: dict[int, PauliLIM] = {}
+        self._zeros: dict[int, Edge] = {}
         self.snorm_cache: dict[int, object] = {}
         self.peak_nodes = 1
         self.gc_capacity = gc_capacity
@@ -124,13 +130,22 @@ class DDStore:
         return Edge(PauliLIM(factor, PauliString(0, 0, 0)), self.terminal)
 
     def zero_edge(self, level: int) -> Edge:
-        return Edge(PauliLIM(self.ops.zero, PauliString(level, 0, 0)), self.terminal)
+        edge = self._zeros.get(level)
+        if edge is None:
+            edge = Edge(PauliLIM(self.ops.zero, PauliString(level, 0, 0)), self.terminal)
+            self._zeros[level] = edge
+        return edge
 
     def is_zero(self, edge: Edge) -> bool:
         return self.ops.is_zero(edge.lim.factor)
 
     def identity_lim(self, n: int) -> PauliLIM:
-        return PauliLIM(self.ops.one, PauliString(n, 0, 0))
+        """The identity label on n qubits; one object per width, so its
+        factor is always the backend's ``one`` itself."""
+        lim = self._identities.get(n)
+        if lim is None:
+            lim = self._identities[n] = PauliLIM(self.ops.one, PauliString(n, 0, 0))
+        return lim
 
     def zero_state(self, n: int) -> Edge:
         edge = self.terminal_edge(self.ops.one)
@@ -169,6 +184,22 @@ class DDStore:
         m = low.lim.string.n
         if high.lim.string.n != m:
             raise DiagramError("child edges are at different levels")
+        lo = low.lim
+        if (
+            self.norm_rule == "low"
+            and not (lo.string.x or lo.string.z)
+            and lo.factor == self.ops.one
+        ):
+            # Children that a stored node holds are canonical: the rest of
+            # this method would return that node under an identity root.
+            # Under l2 the stored low weight is not one, and renormalizing
+            # it is not exact.  Float keys are tolerance cells, hence the
+            # equality test.  The probe reads the table with dict.get, so a
+            # table that instruments its own get sees only the lookups that
+            # may create a node.
+            node = dict.get(self.unique, self._node_key(m + 1, low, high))
+            if node is not None and node.low == low and node.high == high:
+                return Edge(self.identity_lim(m + 1), node)
         low_zero, high_zero = self.is_zero(low), self.is_zero(high)
         if low_zero and high_zero:
             return self.zero_edge(m + 1)
@@ -180,10 +211,7 @@ class DDStore:
             # |0>(high) + |1>(low), whose children are in canonical order.
             low, high, low_zero, high_zero = high, low, False, low_zero
         if high_zero:
-            node = self._make_node(
-                m + 1, Edge(self.identity_lim(m), low.node), self.zero_edge(m)
-            )
-            edge = Edge(_lift(low.lim, m + 1), node)
+            edge = self._one_branch(m, low, 0)
         elif self.mode == "evdd":
             edge = self._make_edge_evdd(m, low, high, low_zero)
         else:
@@ -197,19 +225,29 @@ class DDStore:
             edge = Edge(row_lim_mul(self.ops, (0, 1 << m, 0), edge.lim), edge.node)
         return edge
 
+    def _one_branch(self, m: int, edge: Edge, bit: int) -> Edge:
+        """|bit>(edge) one level up, for a nonzero edge."""
+        child, zero = Edge(self.identity_lim(m), edge.node), self.zero_edge(m)
+        node = self._make_node(m + 1, *((zero, child) if bit else (child, zero)))
+        return Edge(_lift(edge.lim, m + 1), node)
+
     def _make_edge_evdd(self, m: int, low: Edge, high: Edge, low_zero: bool) -> Edge:
+        # A normalized weight can read as zero on the float backend although
+        # the weight it came from did not; that branch is then dropped, as
+        # a zero child would be.
         ops = self.ops
         if low_zero:
-            node = self._make_node(
-                m + 1, self.zero_edge(m), Edge(self.identity_lim(m), high.node)
-            )
-            return Edge(_lift(high.lim, m + 1), node)
+            return self._one_branch(m, high, 1)
         a, b = low.lim.factor, high.lim.factor
         if self.norm_rule == "l2":
             norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
             phase = a / abs(a)
             w = norm * phase
             lo, hi = a / w, b / w
+            if ops.is_zero(lo):
+                return self._one_branch(m, high, 1)
+            if ops.is_zero(hi):
+                return self._one_branch(m, low, 0)
             node = self._make_node(
                 m + 1,
                 Edge(PauliLIM(lo, PauliString(m, 0, 0)), low.node),
@@ -217,6 +255,8 @@ class DDStore:
             )
             return Edge(PauliLIM(w, PauliString(m + 1, 0, 0)), node)
         c = ops.div(b, a)
+        if ops.is_zero(c):
+            return self._one_branch(m, low, 0)
         node = self._make_node(
             m + 1,
             Edge(self.identity_lim(m), low.node),
@@ -244,7 +284,7 @@ class DDStore:
         s = a_hat.string
         m = s.n
         basis0, basis1 = self.stab_gens(v0), self.stab_gens(v1)
-        rows, _ = joint_echelon(basis0, basis1)
+        rows, _ = self._joint(v0, basis0, v1, basis1)
         key = string_key(s.x, s.z)
         used = 0
         for row_key, mask in rows:
@@ -316,7 +356,7 @@ class DDStore:
                 if ((x & c.z) ^ (z & c.x)).bit_count() & 1:
                     k ^= 2
                 rotated.append((key, (k, x, z)))
-            _, common = joint_echelon(below, rotated)
+            _, common = self._joint(v0, below, v1, rotated)
             # A string both branches share extends by I on top when the two
             # members agree in sign, by Z when they differ.
             n0 = len(below)
@@ -336,6 +376,16 @@ class DDStore:
             out = echelon(gens)
         self.stab_cache[node.id] = out
         return out
+
+    def _joint(self, v0: Node, basis0: Basis, v1: Node, basis1: Iterable) -> tuple:
+        """``joint_echelon`` of the two nodes' groups, built once per child
+        pair.  It reads only the rows' keys, so ``basis1`` may be v1's group
+        with any signs."""
+        key = (v0.id, v1.id)
+        hit = self.joint_cache.get(key)
+        if hit is None:
+            hit = self.joint_cache[key] = joint_echelon(basis0, basis1)
+        return hit
 
     # -- traversal ---------------------------------------------------------
 
@@ -508,6 +558,9 @@ class DDStore:
         self.clear_op_caches()
         self.stab_cache = {
             k: v for k, v in self.stab_cache.items() if k in live
+        }
+        self.joint_cache = {
+            k: v for k, v in self.joint_cache.items() if k[0] in live and k[1] in live
         }
         self.snorm_cache = {
             k: v for k, v in self.snorm_cache.items() if k in live

@@ -21,7 +21,8 @@ bit, a diagonal phase flips to its adjoint and emits a global phase, and a
 projection keeps the other value; Clifford kinds conjugate the label.  ccx
 is not Clifford: past a label P it leaves a Clifford behind, ccx P = P C ccx,
 which the driver applies to the node's result with the Clifford kinds.
-Identity strings, which include every evdd label, commute with everything.
+Identity strings, which include every evdd label, commute with everything,
+and an identity label passes the node's result through unchanged.
 In limdd mode Pauli gates reduce to one label multiplication at the root.
 cx with the control above the target flips the target on the control's high
 branch, and ccx with a control on top applies cx on that branch; with the
@@ -177,6 +178,8 @@ def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
         sub = _apply(store, sub, clifford)
     if store.is_zero(sub):
         return store.zero_edge(lim.string.n)
+    if not (s.x or s.z) and lim.factor == store.ops.one:
+        return sub
     return Edge(lim_mul(store.ops, lim, sub.lim), sub.node)
 
 
@@ -374,8 +377,8 @@ def verify_coeff_bound(store: DDStore, root: Edge, n: int, t_count: int) -> bool
 def simulate(
     circuit,
     policy=None,
-    mode: str = "limdd",
-    norm_rule: str = "low",
+    mode: str | None = None,
+    norm_rule: str | None = None,
     *,
     check_coeffs: bool = False,
     check_bounds: bool = False,
@@ -392,13 +395,27 @@ def simulate(
     backend only) verifies the label-size bound the same way, counting a
     ccx as the 7 T gates of its network.  A given ``store`` supplies the
     coefficient policy, diagram mode, normalization rule and garbage
-    collection settings, and ``policy``, ``mode`` and ``norm_rule`` are
-    ignored; without one, a fresh store with the default collector is used.
+    collection settings, and a ``policy``, ``mode`` or ``norm_rule`` given
+    with it must match the store's; without one, a fresh store with the
+    default collector is used, in limdd mode with the low rule unless
+    ``mode`` and ``norm_rule`` say otherwise.
     """
     t0 = time.perf_counter()
     n = circuit.n_qubits
     if store is None:
-        store = DDStore(policy=policy, mode=mode, norm_rule=norm_rule)
+        store = DDStore(
+            policy,
+            "limdd" if mode is None else mode,
+            "low" if norm_rule is None else norm_rule,
+        )
+    else:
+        for name, given, have in (
+            ("policy", policy, store.policy),
+            ("mode", mode, store.mode),
+            ("norm_rule", norm_rule, store.norm_rule),
+        ):
+            if given is not None and given != have:
+                raise ValueError(f"{name} {given!r} conflicts with the store's {have!r}")
     root = store.zero_state(n)
     report = track(circuit) if check_bounds else None
     coeff_ok: bool | None = True if check_coeffs else None

@@ -445,3 +445,19 @@ def test_leads_negative_matches_argmin_key(xs):
     f = FloatOps(0.0)
     for z in (x.to_complex(), complex(0.0, xs[2]), complex(-0.0, -1.0), complex(float(xs[0]))):
         assert f.leads_negative(z) == (f.argmin_key(-z) < f.argmin_key(z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quad_st)
+def test_unit_operand_shortcuts_match_fraction_reference(xs):
+    x, one = RingValue(*xs), (F(1), F(0), F(0), F(0))
+    ops = EXACT_OPS
+    assert_matches(ops.mul(ONE, x), ref_mul(one, xs))
+    assert_matches(ops.mul(x, ONE), ref_mul(xs, one))
+    assert_matches(ops.div(x, ONE), ref_div(xs, one))
+    if any(xs):
+        assert_matches(ops.div(x, RingValue(*xs)), ref_div(xs, xs))
+        assert ops.div(x, x) is ONE
+    else:
+        with pytest.raises(ZeroDivisionError):
+            ops.div(x, x)

@@ -31,7 +31,7 @@ from qddsim.coeff import (
     omega_power,
 )
 from qddsim.ddcore import DDStore, DiagramError, Edge
-from qddsim.pauli import PauliLIM, PauliString, lim_mul, string_key
+from qddsim.pauli import PauliLIM, PauliString, joint_echelon, lim_mul, string_key
 
 from conftest import random_corpus
 
@@ -123,6 +123,86 @@ def test_make_edge_evdd_low_factoring():
     assert e.node.high.lim.factor == MINUS_ONE
     assert edge_vec(store, e) == [RingValue(2), RingValue(-2)]
 
+
+
+@pytest.mark.parametrize("rule", ["low", "l2"])
+def test_float_evdd_weight_read_as_zero_drops_its_branch(rule):
+    """A normalized weight below the tolerance, from weights that are not,
+    gives the zero child on the terminal, as a zero weight would."""
+    store = fresh("evdd", policy=CoeffPolicy("float", 1e-14), norm_rule=rule)
+    one = store.terminal_edge(1 + 0j)
+    v0 = store.make_edge(one, store.terminal_edge(0.5 + 0j)).node
+    v1 = store.make_edge(one, store.terminal_edge(-1 + 0j)).node
+
+    def weighted(w: complex, node) -> Edge:
+        return Edge(PauliLIM(w, PauliString(1, 0, 0)), node)
+
+    big, tiny = 1e3 + 0j, 1e-12 + 0j
+    cases = [(weighted(big, v0), weighted(tiny, v1), 0)]
+    if rule == "l2":  # the low weight normalizes by the same norm
+        cases.append((weighted(tiny, v0), weighted(big, v1), 1))
+    for low, high, kept in cases:
+        e = store.make_edge(low, high)
+        store.check_invariants(e)
+        dropped = e.node.high if kept == 0 else e.node.low
+        assert dropped == store.zero_edge(1)
+        want = (low, high)[kept]
+        assert e.lim == PauliLIM(want.lim.factor, PauliString(2, 0, 0))
+        assert (e.node.low, e.node.high)[kept] == Edge(store.identity_lim(1), want.node)
+
+
+FAST_PATH_CONFIGS = [
+    ("limdd", "exact"), ("evdd", "exact"), ("limdd", "float"), ("evdd", "float"),
+]
+
+
+def _seeded_states(mode: str, backend: str, norm_rule: str = "low"):
+    rng = random.Random(2027)
+    for _ in range(24):
+        store = DDStore(CoeffPolicy(backend), mode, norm_rule)
+        circ = gen_random(rng.randint(2, 6), rng.randint(5, 40),
+                          seed=rng.randrange(1 << 30), max_t=4)
+        state, _ = simulate(circ, store=store)
+        yield store, state.root
+
+
+@pytest.mark.parametrize("mode,backend", FAST_PATH_CONFIGS)
+def test_stored_children_give_their_node_without_canonicalizing(monkeypatch, mode, backend):
+    states = list(_seeded_states(mode, backend))
+    slow = []
+    for name in ("_get_labels", "_make_node", "_make_edge_evdd"):
+        monkeypatch.setattr(DDStore, name, lambda *a, name=name: slow.append(name))
+    checked = 0
+    for store, root in states:
+        for node in store.reachable([root]).values():
+            # an evdd node with a zero low child goes the ordinary way
+            if node.level and not store.is_zero(node.low):
+                edge = store.make_edge(node.low, node.high)
+                assert edge.node is node
+                assert edge.lim is store.identity_lim(node.level)
+                checked += 1
+    assert checked > 50 and slow == []
+
+
+def test_stored_children_under_l2_give_their_node_within_tolerance():
+    """The l2 rule stores a low weight other than one, so its children go
+    the slow way; they still come back to their node."""
+    for store, root in _seeded_states("evdd", "float", "l2"):
+        ops = store.ops
+        for node in store.reachable([root]).values():
+            if node.level:
+                edge = store.make_edge(node.low, node.high)
+                assert edge.node is node
+                assert edge.lim.string.is_identity() and ops.eq(edge.lim.factor, ops.one)
+
+
+def test_identity_factors_are_the_backend_one():
+    for backend in ("exact", "float"):
+        store = fresh(policy=CoeffPolicy(backend))
+        for n in range(4):
+            assert store.identity_lim(n) is store.identity_lim(n)
+            assert store.identity_lim(n).factor is store.ops.one
+            assert store.zero_edge(n) is store.zero_edge(n)
 
 def _trivial_group_node(store: DDStore, scale: int) -> Edge:
     """Single-qubit node reached from |0> + scale*omega|1>; its Pauli
@@ -560,6 +640,22 @@ def test_maybe_collect_triggers_and_grows_capacity():
     # with such a tiny capacity the collector must have engaged at least once
     assert engaged or store.gc_runs > 0 or len(store.unique) + 1 < 8
 
+
+
+def test_collect_keeps_only_live_child_pairs():
+    store = fresh("limdd")
+    kept, _ = simulate(gen_random(4, 30, seed=31, max_t=4), store=store)
+    simulate(gen_random(4, 30, seed=32, max_t=4), store=store)
+    before = set(store.joint_cache)
+    store.collect([kept.root])
+    live = store.reachable([kept.root])
+    assert store.joint_cache and set(store.joint_cache) < before
+    assert all(v0 in live and v1 in live for v0, v1 in store.joint_cache)
+    # the memo stays exact for the pairs it keeps
+    for (v0, v1), hit in store.joint_cache.items():
+        want = joint_echelon(store.stab_gens(live[v0]), store.stab_gens(live[v1]))
+        assert hit == want
+    store.check_invariants(kept.root)
 
 # (final_nodes, peak_nodes, gc_runs) on exact coefficients with gc_capacity=64
 GC_PINNED = {

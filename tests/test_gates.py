@@ -19,11 +19,12 @@ from qddsim import (
 )
 from qddsim import gates
 from qddsim.coeff import ONE, ZERO, CoeffPolicy
-from qddsim.ddcore import DDStore
+from qddsim.ddcore import DDStore, Edge
 from qddsim.gates import (
     GATE_ARITY,
     PRIMITIVE_KINDS,
     _apply,
+    _apply_node,
     apply_gate,
     compile_gate,
     compile_sequence,
@@ -461,3 +462,59 @@ def test_gc_kwargs_respected():
     for kwargs in ({"gc_capacity": -3}, {"gc_capacity": 0}, {"gc_ratio": 0.0}):
         with pytest.raises(ValueError):
             simulate(circ, store=DDStore(**kwargs))
+
+
+def test_simulate_rejects_settings_that_conflict_with_its_store():
+    circ = gen_wstate(2)
+    with pytest.raises(ValueError, match="policy"):
+        simulate(circ, CoeffPolicy("float"), "evdd", store=DDStore())
+    for kwargs in ({"mode": "evdd"}, {"norm_rule": "l2"}, {"policy": CoeffPolicy("float")}):
+        with pytest.raises(ValueError):
+            simulate(circ, store=DDStore(), **kwargs)
+    float_l2 = dict(policy=CoeffPolicy("float"), mode="evdd", norm_rule="l2")
+    state, _ = simulate(circ, store=DDStore(**float_l2), **float_l2)
+    assert state.store.norm_rule == "l2"
+    state, _ = simulate(circ, CoeffPolicy(), "limdd", "low", store=DDStore())
+    assert state.to_vector() == dense_simulate(circ)
+    state, _ = simulate(circ, mode="evdd")
+    assert (state.store.mode, state.store.norm_rule) == ("evdd", "low")
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_identity_label_passes_the_node_result_through(mode, backend):
+    store = DDStore(CoeffPolicy(backend), mode)
+    state, _ = simulate(gen_random(4, 30, seed=8, max_t=4), store=store)
+    nodes = [v for v in store.reachable([state.root]).values() if v.level > 1]
+    assert nodes
+    for node in nodes:
+        edge = Edge(store.identity_lim(node.level), node)
+        for op in (("h", (0,), 0), ("diag", (node.level - 1,), 1), ("cz", (1, 0), 0)):
+            assert _apply(store, edge, op) is _apply_node(store, node, op)
+
+
+# Calls during exact-LIMDD simulate(gen_wstate(8)) before the fast paths for
+# stored children, identity labels, unit ring operands and the per-pair joint
+# basis went in: 1057, 216 and 313.
+WSTATE8_CALL_CEILINGS = {"mul": 193, "labels": 158, "joint": 117}
+
+
+def test_wstate8_call_counts_stay_at_their_ceilings(monkeypatch):
+    """A lost fast path shows here as more ring multiplies, label
+    canonicalizations or joint bases."""
+    from qddsim import coeff, ddcore
+
+    counts = dict.fromkeys(WSTATE8_CALL_CEILINGS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(coeff.RingValue, "__mul__", counted("mul", coeff.RingValue.__mul__))
+    monkeypatch.setattr(DDStore, "_get_labels", counted("labels", DDStore._get_labels))
+    monkeypatch.setattr(ddcore, "joint_echelon", counted("joint", ddcore.joint_echelon))
+    state, _ = simulate(gen_wstate(8))
+    assert all(counts[k] <= WSTATE8_CALL_CEILINGS[k] for k in counts), counts
+    state.check()
