@@ -172,6 +172,7 @@ def _run_report(
             "t_count": run.counts.t_count,
             "h_count": run.counts.h_count,
             "cz_count": run.counts.cz_count,
+            "ops_applied": run.ops_applied,
         },
         "state": {
             "node_count": run.node_count,

@@ -14,16 +14,24 @@ the operation's highest bit, where one function per kind builds the result
 (``_AT_LEVEL``).  A node's result never goes stale because nodes are
 immutable, so the operation cache is cleared only to reclaim memory.
 
-``diag`` multiplies the |1> branch of a bit by omega**arg (t, tdg, s, sdg
-and z), ``proj`` keeps the part of the state in which a bit reads arg, and
-h, cz, cx, swap, ccx, x and y take arg 0.  Past a label with an X at the
-bit, a diagonal phase flips to its adjoint and emits a global phase, and a
-projection keeps the other value; Clifford kinds conjugate the label.  ccx
-is not Clifford: past a label P it leaves a Clifford behind, ccx P = P C ccx,
-which the driver applies to the node's result with the Clifford kinds.
-Identity strings, which include every evdd label, commute with everything,
-and an identity label passes the node's result through unchanged.
-In limdd mode Pauli gates reduce to one label multiplication at the root.
+Single-qubit gates are one kind, ``run``: its arg is a tuple of steps, in
+application order, that all act on one bit.  A step is ``("diag", p)``,
+which multiplies the bit's |1> branch by omega**p (t, tdg, s, sdg and z), or
+``("h", 0)``, ``("x", 0)`` or ``("y", 0)``.  ``simulate`` applies each
+maximal run of adjacent single-qubit gates on one qubit as one operation, so
+the run costs one pass and one new node per level however many gates it
+holds; adjacent diag steps add their octants.  With per-gate checks every
+gate is its own run, so each check sees the state right after its gate.
+``proj`` keeps the part of the state in which a bit reads arg, and cz, cx,
+swap and ccx take arg 0.  Past a label with an X at the bit, a diagonal
+phase flips to its adjoint and emits a global phase, and a projection keeps
+the other value; Clifford kinds and steps conjugate the label.  ccx is not
+Clifford: past a label P it leaves a Clifford behind, ccx P = P C ccx, which
+the driver applies to the node's result with the Clifford kinds.  Identity
+strings, which include every evdd label, commute with everything, and an
+identity label passes the node's result through unchanged.  In limdd mode
+Pauli gates reduce to one label multiplication at the root, so they end a
+run rather than join it.
 cx with the control above the target flips the target on the control's high
 branch, and ccx with a control on top applies cx on that branch; with the
 target above, and for swap, the branches at the upper level are regrouped
@@ -162,11 +170,9 @@ def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
     then: Iterable[tuple] = ()
     if s.x or s.z:
         kind, bits, arg = op
-        if kind == "diag":
-            scal, p = commute_phase_past_lim(arg, bits[0], lim)
-            if scal:
-                lim = lim_scale(store.ops, store.ops.omega(scal), lim)
-                op = (kind, bits, p)
+        if kind == "run":
+            lim, steps = _run_past_lim(store, lim, bits[0], arg)
+            op = (kind, bits, steps)
         elif kind == "proj":
             op = (kind, bits, arg ^ ((s.x >> bits[0]) & 1))
         elif kind == "ccx":
@@ -181,6 +187,26 @@ def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
     if not (s.x or s.z) and lim.factor == store.ops.one:
         return sub
     return Edge(lim_mul(store.ops, lim, sub.lim), sub.node)
+
+
+def _run_past_lim(
+    store: DDStore, lim: PauliLIM, bit: int, steps: tuple
+) -> tuple[PauliLIM, tuple]:
+    """Move a run right past the label lim, one step at a time in application
+    order: U_k..U_1 P = P' U'_k..U'_1.  Returns P' and the steps U'."""
+    s = lim.string
+    if not ((s.x | s.z) >> bit) & 1:
+        return lim, steps
+    moved = []
+    for name, arg in steps:
+        if name == "diag":
+            scal, arg = commute_phase_past_lim(arg, bit, lim)
+            if scal:
+                lim = lim_scale(store.ops, store.ops.omega(scal), lim)
+        else:
+            lim = conjugate_lim(store.ops, lim, name, (bit,))
+        moved.append((name, arg))
+    return lim, tuple(moved)
 
 
 def _ccx_past_lim(store: DDStore, lim: PauliLIM, bits) -> tuple[PauliLIM, list]:
@@ -229,9 +255,7 @@ def _apply_pauli(store: DDStore, edge: Edge, kind: str, bit: int) -> Edge:
         m = 1 << bit
         row = (0, 0 if kind == "z" else m, 0 if kind == "x" else m)
         return Edge(row_lim_mul(store.ops, row, edge.lim), edge.node)
-    if kind == "z":
-        return _apply(store, edge, ("diag", (bit,), 4))
-    return _apply(store, edge, (kind, (bit,), 0))
+    return _apply(store, edge, ("run", (bit,), (_STEP[kind],)))
 
 
 def project(store: DDStore, edge: Edge, bit: int, value: int) -> Edge:
@@ -249,8 +273,26 @@ def _split(store: DDStore, edge: Edge, bit: int) -> tuple[Edge, Edge]:
 # higher control first.
 
 
-def _diag_at(store: DDStore, node, bits, p: int) -> Edge:
-    return store.make_edge(node.low, _scale_edge(store, store.ops.omega(p), node.high))
+def _run_at(store: DDStore, node, bits, steps) -> Edge:
+    """The steps on the branch pair, then one new node; the 1/sqrt2 of every
+    h is collected into one scale applied last."""
+    ops = store.ops
+    e0, e1 = node.low, node.high
+    scale = None
+    for name, arg in steps:
+        if name == "diag":
+            e1 = _scale_edge(store, ops.omega(arg), e1)
+        elif name == "h":
+            minus_e1 = _scale_edge(store, ops.neg(ops.one), e1)
+            e0, e1 = store.add(e0, e1), store.add(e0, minus_e1)
+            scale = ops.invsqrt2 if scale is None else ops.mul(scale, ops.invsqrt2)
+        elif name == "x":
+            e0, e1 = e1, e0
+        else:  # y
+            e0, e1 = (_scale_edge(store, ops.i_power(3), e1),
+                      _scale_edge(store, ops.i_power(1), e0))
+    res = store.make_edge(e0, e1)
+    return res if scale is None else _scale_edge(store, scale, res)
 
 
 def _proj_at(store: DDStore, node, bits, value: int) -> Edge:
@@ -259,27 +301,9 @@ def _proj_at(store: DDStore, node, bits, value: int) -> Edge:
     return store.make_edge(low, high)
 
 
-def _x_at(store: DDStore, node, bits, arg) -> Edge:
-    return store.make_edge(node.high, node.low)
-
-
-def _y_at(store: DDStore, node, bits, arg) -> Edge:
-    ops = store.ops
-    return store.make_edge(
-        _scale_edge(store, ops.i_power(3), node.high),
-        _scale_edge(store, ops.i_power(1), node.low),
-    )
-
-
-def _h_at(store: DDStore, node, bits, arg) -> Edge:
-    ops = store.ops
-    r0 = store.add(node.low, node.high)
-    r1 = store.add(node.low, _scale_edge(store, ops.neg(ops.one), node.high))
-    return _scale_edge(store, ops.invsqrt2, store.make_edge(r0, r1))
-
-
 def _cz_at(store: DDStore, node, bits, arg) -> Edge:
-    return store.make_edge(node.low, _apply(store, node.high, ("diag", bits[1:], 4)))
+    z = ("run", bits[1:], (("diag", 4),))
+    return store.make_edge(node.low, _apply(store, node.high, z))
 
 
 def _cx_at(store: DDStore, node, bits, arg) -> Edge:
@@ -321,9 +345,13 @@ def _ccx_at(store: DDStore, node, bits, arg) -> Edge:
 
 
 _AT_LEVEL = {
-    "diag": _diag_at, "proj": _proj_at, "x": _x_at, "y": _y_at,
-    "h": _h_at, "cz": _cz_at, "cx": _cx_at, "swap": _swap_at, "ccx": _ccx_at,
+    "run": _run_at, "proj": _proj_at,
+    "cz": _cz_at, "cx": _cx_at, "swap": _swap_at, "ccx": _ccx_at,
 }
+
+# The run step of each single-qubit gate.
+_STEP = {"h": ("h", 0), "x": ("x", 0), "y": ("y", 0)}
+_STEP.update((kind, ("diag", p)) for kind, p in DIAG_OCTANT.items())
 
 
 def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> Edge:
@@ -331,14 +359,49 @@ def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> 
     _check_bits(edge.lim.string.n, bits)
     if kind in ("x", "y", "z"):
         return _apply_pauli(store, edge, kind, bits[0])
-    if kind in DIAG_OCTANT:
-        return _apply(store, edge, ("diag", (bits[0],), DIAG_OCTANT[kind]))
-    if kind in ("h", "cz", "swap"):
+    if kind in _STEP:
+        return _apply(store, edge, ("run", (bits[0],), (_STEP[kind],)))
+    if kind in ("cz", "swap"):
         return _apply(store, edge, (kind, tuple(sorted(bits, reverse=True)), 0))
     raise ValueError(f"not a primitive gate kind: {kind!r}")
 
 
 # -- full-circuit driver ---------------------------------------------------
+
+
+def _operations(gates, n: int, limdd: bool, fuse: bool):
+    """The circuit as top-level operations ``(i, (kind, bits, arg))``, i
+    being the index of the operation's last gate.  With ``fuse``, each
+    maximal run of adjacent single-qubit gates on one qubit is one ``run``
+    (limdd Paulis are label multiplies and end it); adjacent diag steps add
+    their octants, and a run whose steps cancel is left out.  Otherwise
+    every single-qubit gate is a run of its own.  The other kinds keep their
+    gate name, and ccx takes its higher control first."""
+    run_bit, steps, last = None, [], -1
+    for i, gate in enumerate(gates):
+        bits = tuple(n - 1 - q for q in gate.qubits)
+        _check_bits(n, bits)
+        step = None if limdd and gate.kind in ("x", "y", "z") else _STEP.get(gate.kind)
+        if step is not None and fuse and bits[0] == run_bit:
+            if step[0] == "diag" and steps and steps[-1][0] == "diag":
+                p = (steps.pop()[1] + step[1]) % 8
+                if p:
+                    steps.append(("diag", p))
+            else:
+                steps.append(step)
+            last = i
+            continue
+        if steps:
+            yield last, ("run", (run_bit,), tuple(steps))
+        run_bit, steps, last = None, [], i
+        if step is not None:
+            run_bit, steps = bits[0], [step]
+        elif gate.kind == "ccx":
+            yield i, ("ccx", (max(bits[:2]), min(bits[:2]), bits[2]), 0)
+        else:
+            yield i, (gate.kind, bits, 0)
+    if steps:
+        yield last, ("run", (run_bit,), tuple(steps))
 
 
 @dataclass
@@ -355,6 +418,7 @@ class RunStats:
     bound_report: BoundReport | None  # the tableau's, when bounds were checked
     gc_runs: int
     runtime_ms: float
+    ops_applied: int  # top-level diagram operations, fused runs counting one
 
 
 def verify_coeff_bound(store: DDStore, root: Edge, n: int, t_count: int) -> bool:
@@ -387,9 +451,14 @@ def simulate(
     """Run a circuit from the all-zero state and report structural stats.
 
     ``circuit`` needs ``n_qubits`` and ``gates`` attributes.  Each gate is
-    one diagram operation, cx and ccx included; ``RunStats.counts`` counts
-    the compiled primitive set of ``compile_gate`` (27 primitives per ccx).
-    When ``check_bounds`` is set, the stabilizer tableau of ``track``
+    one diagram operation, cx and ccx included, except that a run of
+    adjacent single-qubit gates on one qubit is one operation (see
+    ``_operations``); ``RunStats.ops_applied`` counts these operations, and
+    ``peak_nodes`` and ``gc_runs`` see the state only between them.
+    ``RunStats.counts`` counts the compiled primitive set of
+    ``compile_gate`` (27 primitives per ccx).  Either check turns fusion
+    off, so that it sees the state after every gate.  When ``check_bounds``
+    is set, the stabilizer tableau of ``track``
     (native ccx) predicts a width ceiling for every gate and the diagram
     width is compared against it after that gate; ``check_coeffs`` (exact
     backend only) verifies the label-size bound the same way, counting a
@@ -422,24 +491,24 @@ def simulate(
     bound_ok: bool | None = True if check_bounds else None
     if check_coeffs and store.ops.backend != "exact":
         coeff_ok = None
-    t_seen = 0
-    for i, gate in enumerate(circuit.gates):
-        bits = tuple(n - 1 - q for q in gate.qubits)
-        if gate.kind in ("cx", "ccx"):  # not primitives, so not for apply_gate
-            _check_bits(n, bits)
-            if gate.kind == "ccx":  # higher control first, as _ccx_at expects
-                bits = (max(bits[:2]), min(bits[:2]), bits[2])
-            root = _apply(store, root, (gate.kind, bits, 0))
+    t_seen = ops_applied = 0
+    limdd = store.mode == "limdd"
+    fuse = not (check_coeffs or check_bounds)
+    for i, op in _operations(circuit.gates, n, limdd, fuse):
+        kind, bits, _ = op
+        if kind in PRIMITIVE_KINDS:  # cz, swap and the limdd Paulis
+            root = apply_gate(store, root, kind, bits)
         else:
-            root = apply_gate(store, root, gate.kind, bits)
-        t_seen += t_weight(gate.kind)
+            root = _apply(store, root, op)
+        ops_applied += 1
         if report is not None:
             width = max(store.stats(root, n).width_per_level, default=0)
             nullity, local_nullity = report.per_gate[i]
-            if width > 1 << (nullity if store.mode == "limdd" else local_nullity):
+            if width > 1 << (nullity if limdd else local_nullity):
                 bound_ok = False
-        if coeff_ok is True and not verify_coeff_bound(store, root, n, t_seen):
-            coeff_ok = False
+        if coeff_ok is True:  # unfused, so the operation is gate i
+            t_seen += t_weight(circuit.gates[i].kind)
+            coeff_ok = verify_coeff_bound(store, root, n, t_seen)
         store.clear_op_caches()
         store.maybe_collect([root])
     stats = store.stats(root, n)
@@ -458,5 +527,6 @@ def simulate(
         bound_report=report,
         gc_runs=store.gc_runs,
         runtime_ms=runtime_ms,
+        ops_applied=ops_applied,
     )
     return State(store, root, n), run

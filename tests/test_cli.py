@@ -12,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from qddsim.circuit import emit_qasm
+from qddsim.circuit import emit_qasm, gen_wstate
 from qddsim.cli import main
 
 from conftest import LEADING, MOTIVATING, bell_pair
@@ -56,6 +56,17 @@ def test_simulate_report_validates(qasm_file, capsys):
     assert report["checks"] == {"coeff_bound": None, "width_bound": None}
     assert report["violations"] == []
     assert report["bound_report"] is None
+
+
+@pytest.mark.parametrize("flags,ops", [([], 29), (["--check-bounds"], 57)])
+def test_simulate_reports_applied_operations(qasm_file, capsys, flags, ops):
+    """W-8 fuses its runs of single-qubit gates; a per-gate check applies
+    every gate on its own."""
+    code, report = run_json(capsys, ["simulate", qasm_file(gen_wstate(8)), *flags])
+    assert code == 0
+    jsonschema.validate(report, SCHEMA)
+    assert report["circuit"]["gates_raw"] == 57
+    assert report["circuit"]["ops_applied"] == ops
 
 
 def test_simulate_float_backend_fields(qasm_file, capsys):

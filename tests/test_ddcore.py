@@ -659,8 +659,8 @@ def test_collect_keeps_only_live_child_pairs():
 
 # (final_nodes, peak_nodes, gc_runs) on exact coefficients with gc_capacity=64
 GC_PINNED = {
-    ("limdd", "wstate-32"): (63, 184, 67),
-    ("evdd", "wstate-32"): (64, 187, 83),
+    ("limdd", "wstate-32"): (63, 168, 36),
+    ("evdd", "wstate-32"): (64, 186, 45),
     ("limdd", "grover-6"): (16, 72, 21),
     ("evdd", "grover-6"): (16, 72, 40),
 }

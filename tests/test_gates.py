@@ -489,14 +489,19 @@ def test_identity_label_passes_the_node_result_through(mode, backend):
     assert nodes
     for node in nodes:
         edge = Edge(store.identity_lim(node.level), node)
-        for op in (("h", (0,), 0), ("diag", (node.level - 1,), 1), ("cz", (1, 0), 0)):
+        for op in (
+            ("run", (0,), (("h", 0),)),
+            ("run", (node.level - 1,), (("diag", 1), ("h", 0), ("y", 0))),
+            ("cz", (1, 0), 0),
+        ):
             assert _apply(store, edge, op) is _apply_node(store, node, op)
 
 
 # Calls during exact-LIMDD simulate(gen_wstate(8)) before the fast paths for
 # stored children, identity labels, unit ring operands and the per-pair joint
-# basis went in: 1057, 216 and 313.
-WSTATE8_CALL_CEILINGS = {"mul": 193, "labels": 158, "joint": 117}
+# basis went in: 1057, 216 and 313; before runs of single-qubit gates were
+# fused: 193, 158 and 117.
+WSTATE8_CALL_CEILINGS = {"mul": 174, "labels": 97, "joint": 70}
 
 
 def test_wstate8_call_counts_stay_at_their_ceilings(monkeypatch):
@@ -517,4 +522,125 @@ def test_wstate8_call_counts_stay_at_their_ceilings(monkeypatch):
     monkeypatch.setattr(ddcore, "joint_echelon", counted("joint", ddcore.joint_echelon))
     state, _ = simulate(gen_wstate(8))
     assert all(counts[k] <= WSTATE8_CALL_CEILINGS[k] for k in counts), counts
+    state.check()
+
+
+# -- runs of single-qubit gates --------------------------------------------
+
+_STEP_CHOICES = (("diag", 1), ("diag", 6), ("h", 0), ("x", 0), ("y", 0))
+
+
+def _step_matrix(ops, step):
+    name, arg = step
+    zero, one = ops.zero, ops.one
+    if name == "diag":
+        return ((one, zero), (zero, ops.omega(arg)))
+    if name == "h":
+        r = ops.invsqrt2
+        return ((r, r), (r, ops.neg(r)))
+    if name == "x":
+        return ((zero, one), (one, zero))
+    return ((zero, ops.i_power(3)), (ops.i_power(1), zero))  # y
+
+
+def _dense_step(ops, vec, bit, step):
+    m = _step_matrix(ops, step)
+    out = list(vec)
+    for i in range(len(vec)):
+        if not (i >> bit) & 1:
+            j = i | 1 << bit
+            out[i] = ops.add(ops.mul(m[0][0], vec[i]), ops.mul(m[0][1], vec[j]))
+            out[j] = ops.add(ops.mul(m[1][0], vec[i]), ops.mul(m[1][1], vec[j]))
+    return out
+
+
+def test_run_under_every_phased_pauli_label_matches_dense():
+    """A run of 1-3 steps on an edge labelled c * P, for each of the 16 c in
+    {1, i, -1, -i} and P in {I, X, Y, Z} at the run's bit, equals the dense
+    product of its steps."""
+    from qddsim.pauli import PauliLIM, PauliString
+
+    store = DDStore()
+    ops = store.ops
+    node = _random_root(store, seed=5).node
+    runs = [
+        steps for k in (1, 2, 3) for steps in itertools.product(_STEP_CHOICES, repeat=k)
+    ]
+    for bit in (0, 2):
+        for k, (px, pz) in itertools.product(range(4), ((0, 0), (1, 0), (1, 1), (0, 1))):
+            lim = PauliLIM(ops.i_power(k), PauliString(3, px << bit, pz << bit))
+            edge = Edge(lim, node)
+            vec = store.to_vector(edge)
+            for steps in runs:
+                got = gates._apply(store, edge, ("run", (bit,), steps))
+                want = vec
+                for step in steps:
+                    want = _dense_step(ops, want, bit, step)
+                assert store.to_vector(got) == want, (bit, k, px, pz, steps)
+            store.check_invariants(got)
+
+
+def _run_rich_circuits(count: int, seed: int):
+    """3-7 qubits, mostly runs of 1-4 single-qubit gates on one qubit, with
+    a multi-qubit gate in between now and then."""
+    rng = random.Random(seed)
+    one_qubit = ("h", "t", "tdg", "s", "sdg", "x", "y", "z")
+    for _ in range(count):
+        n = rng.randint(3, 7)
+        out = []
+        while len(out) < 40:
+            if rng.random() < 0.3:
+                kind = rng.choice(("cx", "cz", "swap", "ccx"))
+                qubits = tuple(rng.sample(range(n), GATE_ARITY[kind]))
+                out.append(GateInstance(kind, qubits))
+            else:
+                q = rng.randrange(n)
+                out.extend(GateInstance(rng.choice(one_qubit), (q,))
+                           for _ in range(rng.randint(1, 4)))
+        yield Circuit(n, tuple(out))
+
+
+FUSION_CONFIGS = [
+    ("limdd", "exact", "low"), ("evdd", "exact", "low"),
+    ("limdd", "float", "low"), ("evdd", "float", "low"), ("evdd", "float", "l2"),
+]
+
+
+@pytest.mark.parametrize("mode,backend,norm_rule", FUSION_CONFIGS)
+def test_fused_runs_match_per_gate_application(mode, backend, norm_rule):
+    """simulate fuses runs; a per-gate check turns that off, so the checked
+    run is the unfused reference."""
+    fused_ops = ref_ops = 0
+    for circ in _run_rich_circuits(12, seed=2718):
+        kw = dict(policy=CoeffPolicy(backend), mode=mode, norm_rule=norm_rule)
+        state, run = simulate(circ, **kw)
+        ref_state, ref = simulate(circ, check_bounds=True, **kw)
+        state.check()
+        ref_state.check()
+        assert run.peak_nodes <= ref.peak_nodes
+        fused_ops += run.ops_applied
+        ref_ops += ref.ops_applied
+        assert ref.ops_applied == len(circ.gates)
+        if backend == "exact":
+            assert state.to_vector() == ref_state.to_vector()
+            assert (run.final_nodes, run.width_per_level, run.max_coeff_bits) == (
+                ref.final_nodes, ref.width_per_level, ref.max_coeff_bits)
+        else:
+            got, want = state.to_vector(), ref_state.to_vector()
+            assert max(abs(u - v) for u, v in zip(got, want)) < 1e-12
+    assert fused_ops < ref_ops
+
+
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_float_run_keeps_its_norm(mode):
+    """Float LIMDD once returned the zero vector on this circuit, and float
+    EVDD lost a sixth of its squared norm."""
+    from qddsim.measure import squared_norm
+
+    circ = gen_random(12, 200, 2, max_t=12)
+    state, _ = simulate(circ, CoeffPolicy("float"), mode)
+    exact, _ = simulate(circ, mode=mode)
+    assert abs(squared_norm(state.store, state.root) - 1) < 1e-9
+    got, want = state.to_vector(), exact.to_vector()
+    assert max(abs(u - v.to_complex()) for u, v in zip(got, want)) < 1e-9
     state.check()
