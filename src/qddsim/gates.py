@@ -4,8 +4,8 @@ The simulator applies every gate of the set directly as a diagram
 operation: h, the diagonal phase family (t, tdg, s, sdg, z), the Paulis, cz,
 cx, swap and ccx.  ``apply_gate`` takes the primitive set, which has no cx
 or ccx.  ``compile_gate`` still expands every gate into that set (cx as
-h-cz-h, ccx as the standard seven-T network), and the gate counts in reports
-count that expansion.
+h-cz-h, ccx as the standard seven-T network of ``stabtrack``), and the
+gate counts in reports count that expansion.
 
 Every diagram operation is a hashable ``(kind, bits, arg)`` run by one
 driver.  ``_apply`` moves the operation past an edge's label, and the
@@ -57,7 +57,7 @@ from .pauli import (
     row_mul,
     times_i,
 )
-from .stabtrack import BoundReport, t_weight, track
+from .stabtrack import _CCX_NETWORK, BoundReport, t_weight, track
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,6 @@ class GateCounts(NamedTuple):
     t_count: int
     h_count: int
     cz_count: int
-
-
-# ccx(a, b, t) as the standard seven-T network; indices pick from (a, b, t).
-_CCX_NETWORK = (
-    ("h", (2,)), ("cx", (1, 2)), ("tdg", (2,)), ("cx", (0, 2)), ("t", (2,)),
-    ("cx", (1, 2)), ("tdg", (2,)), ("cx", (0, 2)), ("t", (1,)), ("t", (2,)),
-    ("cx", (0, 1)), ("h", (2,)), ("t", (0,)), ("tdg", (1,)), ("cx", (0, 1)),
-)
 
 
 def compile_gate(gate: GateInstance) -> tuple[GateInstance, ...]:

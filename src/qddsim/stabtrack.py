@@ -12,17 +12,41 @@ row in the string span) plays the same role for evdd mode.
 Rows are kernel rows (k, x, z) of ``pauli`` with k in {0, 2}: i**k times
 the string.  Stabilizer groups are abelian and never contain minus identity,
 so products are order-independent and every member is fixed by its string.
-Membership reduces strings against the group's echelon basis, and the local
-nullity reads the fully reduced basis of the string keys; the nullities are
-ranks, so they do not depend on the key order.
+Membership reduces strings against the group's echelon basis.  The nullities
+are ranks, so they do not depend on the key order.
+
+The local nullity is kept incrementally in two qubit masks: ``pinned``, the
+qubits with a weight-one string in the group, and ``dirty``, the qubits whose
+status is unknown.  A gate changes only what it touches:
+
+- h, s, sdg, x, y, z keep both masks: a single-qubit Clifford maps the
+  weight-one strings on its qubit to weight-one strings on that qubit.
+- swap exchanges its two bits in both masks.
+- cx and cz mark both qubits dirty.
+- A qubit outside a gate's support keeps its status, since U† P_q U = P_q.
+- A discard that drops a row at q unpins q and clears its dirty bit: were a
+  weight-one string at q in the group, every member would commute with it
+  and none would carry the discarded component.  Other pins survive, since a
+  weight-one string elsewhere has no bit at q; a discard that drops nothing
+  leaves the group as it was.
+
+``local_nullity`` rechecks only the dirty qubits, and assigning ``rows``
+marks every qubit dirty.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .pauli import Basis, Row, combine, conj_bits, echelon, reduce_key, row_mul, string_key
 
 _CLIFFORD_KINDS = frozenset({"h", "s", "sdg", "x", "y", "z", "cz", "cx", "swap"})
+
+# ccx(a, b, t) as the standard seven-T network; indices pick from (a, b, t).
+_CCX_NETWORK = (
+    ("h", (2,)), ("cx", (1, 2)), ("tdg", (2,)), ("cx", (0, 2)), ("t", (2,)),
+    ("cx", (1, 2)), ("tdg", (2,)), ("cx", (0, 2)), ("t", (1,)), ("t", (2,)),
+    ("cx", (0, 1)), ("h", (2,)), ("t", (0,)), ("tdg", (1,)), ("cx", (0, 1)),
+)
 
 
 def _member(basis: Basis, x: int, z: int) -> Row | None:
@@ -38,12 +62,23 @@ class StabilizerTableau:
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
         self.n = n_qubits
-        self.rows: list[Row] = [(0, 0, 1 << k) for k in range(n_qubits)]
+        self._rows: list[Row] = [(0, 0, 1 << k) for k in range(n_qubits)]
+        self.pinned = (1 << n_qubits) - 1  # each Z_k is a row
+        self.dirty = 0
+
+    @property
+    def rows(self) -> list[Row]:
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: list[Row]) -> None:
+        self._rows = rows
+        self.dirty = (1 << self.n) - 1
 
     # -- membership --------------------------------------------------------
 
     def contains(self, sign: int, x: int, z: int) -> bool:
-        member = _member(echelon(self.rows), x, z)
+        member = _member(echelon(self._rows), x, z)
         return member is not None and member[0] == 2 * sign
 
     # -- gate updates ------------------------------------------------------
@@ -52,11 +87,23 @@ class StabilizerTableau:
         """Update for one gate on internal bit positions; returns how many
         rows were dropped."""
         if kind in _CLIFFORD_KINDS:
-            self.rows = [
-                (k ^ (flip << 1), x2, z2)
-                for (k, x, z) in self.rows
-                for (x2, z2, flip) in (conj_bits(kind, bits, x, z),)
-            ]
+            support = 0
+            for bit in bits:
+                support |= 1 << bit
+            rows: list[Row] = []
+            for row in self._rows:  # a row off the support conjugates to itself
+                k, x, z = row
+                if (x | z) & support:
+                    x, z, flip = conj_bits(kind, bits, x, z)
+                    row = (k ^ (flip << 1), x, z)
+                rows.append(row)
+            self._rows = rows
+            if kind == "swap":  # exchanging two bits flips both iff they differ
+                a, b = bits
+                self.pinned ^= support * ((self.pinned >> a ^ self.pinned >> b) & 1)
+                self.dirty ^= support * ((self.dirty >> a ^ self.dirty >> b) & 1)
+            elif kind in ("cx", "cz"):
+                self.dirty |= support
             return 0
         if kind in ("t", "tdg"):
             return self._discard_component(x_mask=1 << bits[0], z_mask=0)
@@ -69,7 +116,7 @@ class StabilizerTableau:
         to commute with a gate, marked by a single x- or z-bit."""
         pivot = None
         kept: list[Row] = []
-        for row in self.rows:
+        for row in self._rows:
             if (row[1] & x_mask) or (row[2] & z_mask):
                 if pivot is None:
                     pivot = row
@@ -77,11 +124,15 @@ class StabilizerTableau:
                     kept.append(row_mul(row, pivot))
             else:
                 kept.append(row)
-        self.rows = kept
-        return 0 if pivot is None else 1
+        self._rows = kept
+        if pivot is None:
+            return 0
+        self.pinned &= ~(x_mask | z_mask)
+        self.dirty &= ~(x_mask | z_mask)
+        return 1
 
     def _apply_toffoli(self, c1: int, c2: int, t: int) -> int:
-        basis = echelon(self.rows)
+        basis = echelon(self._rows)
 
         def signed_in(sign: int, x: int, z: int) -> bool:
             member = _member(basis, x, z)
@@ -108,39 +159,50 @@ class StabilizerTableau:
     # -- bounds ------------------------------------------------------------
 
     def nullity(self) -> int:
-        return self.n - len(self.rows)
+        return self.n - len(self._rows)
 
     def local_nullity(self) -> int:
-        """Qubits not pinned by any weight-one string in the group's span.
+        """Qubits not pinned by any weight-one string in the group.
 
-        In the fully reduced basis of the string keys, each lead bit is set
-        in its own row only, so a span member equals the sum of the rows
-        whose leads it has.  A weight-one string at qubit q has key bits at
-        2q and 2q+1 only: it is in the span iff one of the (at most two)
-        rows leading there, or their sum, has no other bit."""
-        rows: dict[int, int] = {}  # lead bit -> key
-        for _, x, z in self.rows:
-            key = string_key(x, z)
-            while key:
-                lead = key.bit_length() - 1
-                have = rows.get(lead)
-                if have is None:
-                    rows[lead] = key
-                    break
-                key ^= have
-        leads = sorted(rows)
-        for i, lead in enumerate(leads):
-            bit, key = 1 << lead, rows[lead]
-            for above in leads[i + 1:]:
-                if rows[above] & bit:
-                    rows[above] ^= key
-        pinned = 0
-        for q in range(self.n):
-            outside = ~(3 << 2 * q)
-            lo, hi = rows.get(2 * q, 0), rows.get(2 * q + 1, 0)
-            if any(r and not r & outside for r in (lo, hi, lo ^ hi)):
-                pinned += 1
-        return self.n - pinned
+        O(1) unless some qubit is dirty; then only the dirty qubits are
+        rechecked, on rows written as vectors x | z << n.  One elimination
+        takes each vector's lead from its bits outside the dirty qubits while
+        it has any, so the rows led inside span the members supported on the
+        dirty qubits.  Fully reduced, each of those leads is set in its own
+        row only, so such a member equals the sum of the rows whose leads it
+        has.  A weight-one string at qubit q has bits q and q + n only: it is
+        in the group iff one of the (at most two) rows leading there, or
+        their sum, has no other bit."""
+        dirty = self.dirty
+        if dirty:
+            n = self.n
+            outside = ~(dirty | dirty << n)
+            rows: dict[int, int] = {}  # lead bit -> vector
+            for _, x, z in self._rows:
+                vec = x | z << n
+                while vec:
+                    lead = ((vec & outside) or vec).bit_length() - 1
+                    have = rows.get(lead)
+                    if have is None:
+                        rows[lead] = vec
+                        break
+                    vec ^= have
+            leads = sorted(lead for lead in rows if not outside >> lead & 1)
+            for i, lead in enumerate(leads):
+                bit, vec = 1 << lead, rows[lead]
+                for above in leads[i + 1:]:
+                    if rows[above] & bit:
+                        rows[above] ^= vec
+            pinned = self.pinned & ~dirty
+            while dirty:
+                q = dirty.bit_length() - 1
+                dirty ^= 1 << q
+                others = ~(1 << q | 1 << q + n)
+                lo, hi = rows.get(q, 0), rows.get(q + n, 0)
+                if any(r and not r & others for r in (lo, hi, lo ^ hi)):
+                    pinned |= 1 << q
+            self.pinned, self.dirty = pinned, 0
+        return self.n - self.pinned.bit_count()
 
 
 class BoundReport(NamedTuple):
@@ -177,14 +239,11 @@ def track(circuit, native_ccx: bool = True) -> BoundReport:
     t_count = 0
     trace: list[tuple[int, int]] = []
     for gate in circuit.gates:
+        bits = tuple(n - 1 - q for q in gate.qubits)
         if gate.kind == "ccx" and not native_ccx:
-            from .gates import compile_gate
-
-            for prim in compile_gate(gate):
-                bits = tuple(n - 1 - q for q in prim.qubits)
-                dropped += tab.apply_gate(prim.kind, bits)
+            for kind, idx in _CCX_NETWORK:
+                dropped += tab.apply_gate(kind, tuple(bits[i] for i in idx))
         else:
-            bits = tuple(n - 1 - q for q in gate.qubits)
             dropped += tab.apply_gate(gate.kind, bits)
         t_count += t_weight(gate.kind)
         trace.append((tab.nullity(), tab.local_nullity()))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -232,6 +233,16 @@ def test_bounds_command(qasm_file, capsys):
         "bounds", qasm_file(LEADING), "--native-ccx",
     ])
     assert code == 0 and native["native_ccx"] is True
+
+
+def test_bounds_output_is_pinned(qasm_file, capsys):
+    """The W-8 ``bounds`` report, byte for byte, as its SHA-256."""
+    assert main(["bounds", qasm_file(gen_wstate(8))]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 1924
+    assert hashlib.sha256(out).hexdigest() == (
+        "ec2581f89d6ac7e78da90da1a5d0534781acf98d861013aba45eaa4ac082ac8f"
+    )
 
 
 @pytest.mark.parametrize("module", ["qddsim", "qddsim.cli"])

@@ -5,10 +5,13 @@ import random
 
 import pytest
 
-from qddsim import Circuit, GateInstance, dense_simulate, gen_random, simulate
+from qddsim import (
+    Circuit, GateInstance, dense_simulate, gen_grover, gen_random, gen_wstate, simulate,
+)
 from qddsim.coeff import I_UNIT, MINUS_ONE, ONE, ZERO
+from qddsim.gates import GATE_ARITY
 from qddsim.pauli import echelon, reduce_key, string_key
-from qddsim.stabtrack import BoundReport, StabilizerTableau, track
+from qddsim.stabtrack import _CCX_NETWORK, BoundReport, StabilizerTableau, track
 
 from conftest import bell_pair
 
@@ -172,6 +175,68 @@ def test_local_nullity_matches_oracle_on_random_tableaux():
         assert tab.local_nullity() == local_nullity_oracle(tab)
 
 
+def test_incremental_local_nullity_matches_oracle_after_every_gate():
+    """The pinned and dirty masks against the defining count, after every
+    tableau update, ccx taken both natively and through its network."""
+    rng = random.Random(4242)
+    for _ in range(160):
+        n = rng.randint(1, 12)
+        usable = sorted(k for k, arity in GATE_ARITY.items() if arity <= n)
+        for native in (True, False):
+            tab = StabilizerTableau(n)
+            for _ in range(rng.randint(0, 50)):
+                kind = rng.choice(usable)
+                bits = tuple(rng.sample(range(n), GATE_ARITY[kind]))
+                steps = ((kind, bits),)
+                if kind == "ccx" and not native:
+                    steps = tuple((k, tuple(bits[i] for i in idx)) for k, idx in _CCX_NETWORK)
+                for step in steps:
+                    tab.apply_gate(*step)
+                    if rng.random() < 0.7:  # let dirt pile up across some gates
+                        assert tab.local_nullity() == local_nullity_oracle(tab)
+            assert tab.local_nullity() == local_nullity_oracle(tab)
+
+
+def test_local_nullity_update_rules():
+    # t on a qubit pinned by Z drops nothing and keeps the pin
+    tab = StabilizerTableau(3)
+    tab.apply_gate("h", (2,))
+    tab.apply_gate("cx", (2, 1))
+    assert tab.local_nullity() == 2 and tab.pinned == 0b001
+    assert tab.apply_gate("t", (0,)) == 0
+    assert (tab.pinned, tab.dirty) == (0b001, 0)
+    assert tab.local_nullity() == local_nullity_oracle(tab) == 2
+
+    # a drop on a dirty qubit settles that qubit and leaves the other dirty
+    tab = StabilizerTableau(2)
+    tab.apply_gate("h", (1,))
+    tab.apply_gate("cx", (1, 0))
+    assert tab.dirty == 0b11
+    assert tab.apply_gate("t", (0,)) == 1
+    assert tab.dirty == 0b10 and not tab.pinned & 0b01
+    assert tab.local_nullity() == local_nullity_oracle(tab) == 2
+
+    # a swap of a pinned qubit with an unpinned one moves the pin
+    tab = StabilizerTableau(3)
+    tab.apply_gate("h", (2,))
+    tab.apply_gate("cx", (2, 1))
+    tab.local_nullity()
+    tab.apply_gate("swap", (0, 2))
+    assert (tab.pinned, tab.dirty) == (0b100, 0)
+    assert tab.local_nullity() == local_nullity_oracle(tab) == 2
+
+    # rows assigned after some gates mark every qubit dirty
+    tab = StabilizerTableau(3)
+    for kind, bits in (("h", (0,)), ("cx", (0, 2)), ("t", (1,))):
+        tab.apply_gate(kind, bits)
+    assert tab.local_nullity() == local_nullity_oracle(tab) == 2
+    tab.rows = [(0, 0b011, 0b000), (0, 0b000, 0b100)]  # X1 X0 and Z2
+    assert tab.dirty == 0b111
+    assert tab.local_nullity() == local_nullity_oracle(tab) == 2
+    tab.apply_gate("cx", (1, 0))  # X1 X0 -> X1: qubit 1 becomes pinned
+    assert tab.local_nullity() == local_nullity_oracle(tab) == 1
+
+
 # -- track() reports -------------------------------------------------------
 
 def test_track_report_shape():
@@ -254,3 +319,56 @@ def test_generators_stabilize_dense_state():
         vec = dense_simulate(circ)
         for k, x, z in tab.rows:
             assert apply_row(n, k, x, z, vec) == vec
+
+
+# -- pinned reports --------------------------------------------------------
+
+def dressed_ghz(n: int) -> Circuit:
+    """GHZ by an h and a cx ladder, with a t or tdg on every fourth qubit
+    right after the ladder reaches it."""
+    gates = [GateInstance("h", (0,))]
+    for q in range(1, n):
+        gates.append(GateInstance("cx", (q - 1, q)))
+        if q % 4 == 3:
+            gates.append(GateInstance("t" if q % 8 == 3 else "tdg", (q,)))
+    return Circuit(n, tuple(gates))
+
+
+# name -> (report fields before per_gate, per_gate as (pair, repeat) runs)
+PINNED_REPORTS = {
+    "grover-3": (
+        (4, 43, 56, 4, 4, 16, 16, 4),
+        (((0, 0), 4), ((3, 3), 1), ((3, 4), 1), ((4, 4), 37)),
+    ),
+    "wstate-8": (
+        (8, 57, 14, 7, 8, 128, 256, 7),
+        (((0, 0), 3), ((1, 1), 5), ((1, 2), 3), ((2, 3), 8), ((3, 4), 8),
+         ((4, 5), 8), ((5, 6), 8), ((6, 7), 8), ((7, 8), 6)),
+    ),
+    "random-8-d80-s2": (
+        (8, 80, 6, 2, 6, 4, 64, 2),
+        (((0, 0), 48), ((1, 1), 1), ((2, 2), 5), ((2, 3), 12), ((2, 4), 13),
+         ((2, 6), 1)),
+    ),
+    "ghz-24": (
+        (24, 30, 6, 1, 24, 2, 16777216, 1),
+        (((0, 0), 1), ((0, 2), 1), ((0, 3), 1), ((0, 4), 1), ((1, 4), 1),
+         ((1, 5), 1), ((1, 6), 1), ((1, 7), 1), ((1, 8), 2), ((1, 9), 1),
+         ((1, 10), 1), ((1, 11), 1), ((1, 12), 2), ((1, 13), 1), ((1, 14), 1),
+         ((1, 15), 1), ((1, 16), 2), ((1, 17), 1), ((1, 18), 1), ((1, 19), 1),
+         ((1, 20), 2), ((1, 21), 1), ((1, 22), 1), ((1, 23), 1), ((1, 24), 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("native", [True, False])
+@pytest.mark.parametrize("name,circ", [
+    ("grover-3", gen_grover(3, 5)),
+    ("wstate-8", gen_wstate(8)),
+    ("random-8-d80-s2", gen_random(8, 80, 2, max_t=6)),
+    ("ghz-24", dressed_ghz(24)),
+])
+def test_track_reports_are_pinned(name, circ, native):
+    fields, runs = PINNED_REPORTS[name]
+    per_gate = tuple(pair for pair, repeat in runs for _ in range(repeat))
+    assert track(circ, native_ccx=native) == BoundReport(*fields, per_gate)
