@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .coeff import INV_SQRT2, ONE, ZERO, RingValue, omega_power
-from .gates import GATE_ARITY, GateCounts, GateInstance, compile_sequence, count_gates
+from .gates import GATE_ARITY, GateCounts, GateInstance, count_gates
 
 
 class QasmParseError(Exception):
@@ -43,11 +43,8 @@ class Circuit:
             if not 0 <= q < self.n_qubits:
                 raise ValueError(f"measured qubit {q} out of range")
 
-    def compiled(self) -> tuple[GateInstance, ...]:
-        return compile_sequence(self.gates)
-
     def counts(self) -> GateCounts:
-        return count_gates(self.compiled())
+        return count_gates(self.gates)
 
 
 # -- qasm subset -----------------------------------------------------------

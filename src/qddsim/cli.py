@@ -102,11 +102,6 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _policy(coeffs: str, tolerance: float | None) -> CoeffPolicy:
-    # an explicit tolerance is forwarded so exact + nonzero is rejected
-    return CoeffPolicy(coeffs, tolerance)
-
-
 def _gc_ratio() -> float | None:
     env = os.environ.get("QDD_GC_THRESHOLD")
     return float(env) if env else None
@@ -118,18 +113,7 @@ def _decimal_str(value: Decimal) -> str:
 
 
 def _bound_json(report: BoundReport, native_ccx: bool) -> dict:
-    return {
-        "n_qubits": report.n_qubits,
-        "gate_count": report.gate_count,
-        "t_count": report.t_count,
-        "nullity": report.nullity,
-        "local_nullity": report.local_nullity,
-        "limdd_width_bound": report.limdd_width_bound,
-        "evdd_width_bound": report.evdd_width_bound,
-        "dropped_rows": report.dropped_rows,
-        "per_gate": [list(pair) for pair in report.per_gate],
-        "native_ccx": native_ccx,
-    }
+    return {**report._asdict(), "native_ccx": native_ccx}
 
 
 def _run_report(
@@ -249,7 +233,8 @@ def cmd_simulate(args) -> int:
     state, _, report = _run_report(
         circuit,
         backend=args.backend,
-        policy=_policy(args.coeffs, args.tolerance),
+        # an explicit tolerance is forwarded so exact + nonzero is rejected
+        policy=CoeffPolicy(args.coeffs, args.tolerance),
         norm_rule=args.norm_rule,
         qubit=args.qubit,
         shots=args.shots,
@@ -276,17 +261,22 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _exact_and_float(circuit: Circuit, args) -> list[dict]:
+    """The exact report, under the low rule, and the float report, under
+    --norm-rule and --tolerance."""
+    runs = (
+        (CoeffPolicy("exact"), "low"),
+        (CoeffPolicy("float", args.tolerance), args.norm_rule),
+    )
+    return [
+        _run_report(circuit, backend=args.backend, policy=policy, norm_rule=rule)[2]
+        for policy, rule in runs
+    ]
+
+
 def cmd_compare(args) -> int:
     circuit = parse_qasm(_read_text(args.qasm))
-    _, _, exact_report = _run_report(
-        circuit, backend=args.backend, policy=CoeffPolicy("exact"),
-        norm_rule="low",
-    )
-    float_policy = CoeffPolicy("float", args.tolerance)
-    _, _, float_report = _run_report(
-        circuit, backend=args.backend, policy=float_policy,
-        norm_rule=args.norm_rule,
-    )
+    exact_report, float_report = _exact_and_float(circuit, args)
     ref = exact_report["measurement"]["p0_float"]
     got = float_report["measurement"]["p0_float"]
     if ref != 0.0:
@@ -295,7 +285,7 @@ def cmd_compare(args) -> int:
         deviation = 0.0 if got == 0.0 else float("inf")
     report = {
         "mode": args.backend,
-        "tolerance": float_policy.tolerance,
+        "tolerance": float_report["policy"]["tolerance"],
         "exact": exact_report,
         "float": float_report,
         "node_delta": float_report["state"]["final_nodes"] - exact_report["state"]["final_nodes"],
@@ -335,26 +325,23 @@ def cmd_bench(args) -> int:
     for size in sizes:
         for seed in range(args.seeds):
             name, circuit, used_seed = _bench_circuit(args, size, seed)
-            for policy in (CoeffPolicy("exact"), CoeffPolicy("float", args.tolerance)):
-                state, run = simulate(
-                    circuit, policy=policy, mode=args.backend, norm_rule=args.norm_rule
-                )
-                p0 = probability_as_decimal(measurement_probability(state))
+            for report in _exact_and_float(circuit, args):
+                counts, state = report["circuit"], report["state"]
                 rows.append({
                     "name": name,
                     "backend": args.backend,
-                    "coeffs": policy.backend,
-                    "tolerance": policy.tolerance,
+                    "coeffs": report["policy"]["coeffs"],
+                    "tolerance": report["policy"]["tolerance"],
                     "n_qubits": circuit.n_qubits,
-                    "gates": run.counts.total,
-                    "t_count": run.counts.t_count,
-                    "h_count": run.counts.h_count,
-                    "cz_count": run.counts.cz_count,
-                    "final_nodes": run.final_nodes,
-                    "peak_nodes": run.peak_nodes,
-                    "max_coeff_bits": run.max_coeff_bits,
-                    "p0": _decimal_str(p0),
-                    "runtime_ms": f"{run.runtime_ms:.3f}",
+                    "gates": counts["gates_compiled"],
+                    "t_count": counts["t_count"],
+                    "h_count": counts["h_count"],
+                    "cz_count": counts["cz_count"],
+                    "final_nodes": state["final_nodes"],
+                    "peak_nodes": state["peak_nodes"],
+                    "max_coeff_bits": state["max_coeff_bits"],
+                    "p0": report["measurement"]["p0"],
+                    "runtime_ms": f"{report['runtime_ms']:.3f}",
                     "seed": "" if used_seed is None else used_seed,
                 })
     if args.out is None:
@@ -376,10 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (QasmParseError, ZeroStateError, OSError, ValueError) as exc:
+    except (_UsageError, QasmParseError, ZeroStateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RecursionError, MemoryError) as exc:

@@ -398,10 +398,6 @@ class ExactOps:
                 return v < 0
         return False
 
-    @staticmethod
-    def to_complex(x: RingValue) -> complex:
-        return x.to_complex()
-
 
 _INV_R2 = 2.0**-0.5
 _OMEGA_F = complex(_INV_R2, _INV_R2)
@@ -495,10 +491,6 @@ class FloatOps:
     def leads_negative(x: complex) -> bool:
         """Whether -x ranks before x under ``argmin_key``."""
         return x.real < 0 or (x.real == 0 and x.imag < 0)
-
-    @staticmethod
-    def to_complex(x: complex) -> complex:
-        return x
 
 
 EXACT_OPS = ExactOps()

@@ -66,10 +66,6 @@ class Edge(NamedTuple):
     lim: PauliLIM
     node: Node
 
-    @property
-    def level(self) -> int:
-        return self.lim.string.n
-
 
 class DiagramStats(NamedTuple):
     node_count: int  # reachable non-terminal nodes

@@ -4,8 +4,9 @@ The simulator applies every gate of the set directly as a diagram
 operation: h, the diagonal phase family (t, tdg, s, sdg, z), the Paulis, cz,
 cx, swap and ccx.  ``apply_gate`` takes the primitive set, which has no cx
 or ccx.  ``compile_gate`` still expands every gate into that set (cx as
-h-cz-h, ccx as the standard seven-T network of ``stabtrack``), and the
-gate counts in reports count that expansion.
+h-cz-h, ccx as the standard seven-T network of ``stabtrack``).  The gate
+counts in reports count that expansion, but ``count_gates`` reads each
+kind's share of it from a table, so no circuit is compiled to be counted.
 
 Every diagram operation is a hashable ``(kind, bits, arg)`` run by one
 driver.  ``_apply`` moves the operation past an edge's label, and the
@@ -40,6 +41,7 @@ by the value of the lower bits through projections.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -124,17 +126,19 @@ def compile_sequence(gates: Iterable[GateInstance]) -> tuple[GateInstance, ...]:
     return tuple(out)
 
 
-def count_gates(primitives: Iterable[GateInstance]) -> GateCounts:
-    total = t = h = cz = 0
-    for g in primitives:
-        total += 1
-        if g.kind in ("t", "tdg"):
-            t += 1
-        elif g.kind == "h":
-            h += 1
-        elif g.kind == "cz":
-            cz += 1
-    return GateCounts(total, t, h, cz)
+# Each kind's share (total, t, h, cz) of the compiled primitive set.
+_COUNTS = {kind: (1, 0, 0, 0) for kind in GATE_ARITY}
+_COUNTS.update(
+    t=(1, 1, 0, 0), tdg=(1, 1, 0, 0), h=(1, 0, 1, 0), cz=(1, 0, 0, 1),
+    cx=(3, 0, 2, 1), ccx=(27, 7, 14, 6),
+)
+
+
+def count_gates(gates: Iterable[GateInstance]) -> GateCounts:
+    """Counts of the compiled primitive set; compiled or raw gates give the
+    same counts."""
+    kinds = Counter(g.kind for g in gates)
+    return GateCounts(*(sum(_COUNTS[k][i] * m for k, m in kinds.items()) for i in range(4)))
 
 
 # -- application internals -------------------------------------------------
@@ -494,7 +498,8 @@ def simulate(
             root = _apply(store, root, op)
         ops_applied += 1
         if report is not None:
-            width = max(store.stats(root, n).width_per_level, default=0)
+            levels = Counter(node.level for node in store.reachable([root]).values())
+            width = max((m for level, m in levels.items() if level), default=0)
             nullity, local_nullity = report.per_gate[i]
             if width > 1 << (nullity if limdd else local_nullity):
                 bound_ok = False
@@ -504,7 +509,7 @@ def simulate(
         store.clear_op_caches()
         store.maybe_collect([root])
     stats = store.stats(root, n)
-    counts = count_gates(compile_sequence(circuit.gates))
+    counts = count_gates(circuit.gates)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     run = RunStats(
         n_qubits=n,

@@ -30,9 +30,6 @@ from .coeff import ScalarOps
 
 PAULI_LETTERS = "IXYZ"
 
-# code -> (x bit, z bit); code = (z << 1) | (x ^ z) gives I=0, X=1, Y=2, Z=3.
-CODE_BITS = ((0, 0), (1, 0), (1, 1), (0, 1))
-
 
 class PauliString(NamedTuple):
     n: int
@@ -43,6 +40,7 @@ class PauliString(NamedTuple):
         return self.x == 0 and self.z == 0
 
     def code_at(self, bit: int) -> int:
+        """(z << 1) | (x ^ z) at the bit: I=0, X=1, Y=2, Z=3."""
         xb = (self.x >> bit) & 1
         zb = (self.z >> bit) & 1
         return (zb << 1) | (xb ^ zb)

@@ -49,10 +49,11 @@ _CCX_NETWORK = (
 )
 
 
-def _member(basis: Basis, x: int, z: int) -> Row | None:
-    """Member of the group with the given string, or None."""
+def _signed_in(basis: Basis, sign: int, x: int, z: int) -> bool:
+    """Whether (-1)**sign times the string is in the group with this
+    echelon basis."""
     key, used = reduce_key(basis, string_key(x, z))
-    return combine(basis, used) if key == 0 else None
+    return key == 0 and combine(basis, used)[0] == 2 * sign
 
 
 class StabilizerTableau:
@@ -78,8 +79,7 @@ class StabilizerTableau:
     # -- membership --------------------------------------------------------
 
     def contains(self, sign: int, x: int, z: int) -> bool:
-        member = _member(echelon(self._rows), x, z)
-        return member is not None and member[0] == 2 * sign
+        return _signed_in(echelon(self._rows), sign, x, z)
 
     # -- gate updates ------------------------------------------------------
 
@@ -133,22 +133,17 @@ class StabilizerTableau:
 
     def _apply_toffoli(self, c1: int, c2: int, t: int) -> int:
         basis = echelon(self._rows)
-
-        def signed_in(sign: int, x: int, z: int) -> bool:
-            member = _member(basis, x, z)
-            return member is not None and member[0] == 2 * sign
-
         # The gate degenerates to a Clifford whenever a control is pinned to
         # a basis value or the target is pinned to an x eigenstate.
         for bit, other in ((c1, c2), (c2, c1)):
-            if signed_in(0, 0, 1 << bit):
+            if _signed_in(basis, 0, 0, 1 << bit):
                 return 0
-            if signed_in(1, 0, 1 << bit):
+            if _signed_in(basis, 1, 0, 1 << bit):
                 self.apply_gate("cx", (other, t))
                 return 0
-        if signed_in(0, 1 << t, 0):
+        if _signed_in(basis, 0, 1 << t, 0):
             return 0
-        if signed_in(1, 1 << t, 0):
+        if _signed_in(basis, 1, 1 << t, 0):
             self.apply_gate("cz", (c1, c2))
             return 0
         dropped = 0

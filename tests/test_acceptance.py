@@ -31,7 +31,13 @@ from qddsim.coeff import (
     within_coeff_bound,
 )
 from qddsim.ddcore import DDStore
-from qddsim.gates import GATE_ARITY, apply_gate, compile_gate, verify_coeff_bound
+from qddsim.gates import (
+    GATE_ARITY,
+    apply_gate,
+    compile_gate,
+    compile_sequence,
+    verify_coeff_bound,
+)
 from qddsim.measure import measurement_probability
 from qddsim.stabtrack import StabilizerTableau, track
 
@@ -84,7 +90,7 @@ def _stepped(circ: Circuit, mode: str):
     n = circ.n_qubits
     root = store.zero_state(n)
     t_seen = h_seen = cz_seen = 0
-    for prim in circ.compiled():
+    for prim in compile_sequence(circ.gates):
         bits = tuple(n - 1 - q for q in prim.qubits)
         root = apply_gate(store, root, prim.kind, bits)
         if prim.kind in ("t", "tdg"):

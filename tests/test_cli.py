@@ -215,6 +215,10 @@ def test_gc_threshold_env(qasm_file, capsys, monkeypatch):
     monkeypatch.setenv("QDD_GC_THRESHOLD", "0")
     assert main(["simulate", qasm_file(LEADING), "--gc-capacity", "2"]) == 1
     assert capsys.readouterr().err.startswith("error: gc_ratio")
+    assert main(["bench", "wstate", "--sizes", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: gc_ratio")
+    assert captured.err.count("\n") == 1, captured.err
     monkeypatch.delenv("QDD_GC_THRESHOLD")
     assert main(["simulate", qasm_file(LEADING), "--gc-capacity", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: gc_capacity")
@@ -298,6 +302,15 @@ def test_bench_stdout_rows(capsys):
     assert rows[2]["p0"].startswith("0.75")
     w2 = next(r for r in rows if r["name"] == "wstate-2")
     assert w2["final_nodes"] == "3" and w2["n_qubits"] == "2"
+
+    # --norm-rule applies to the float rows; the exact rows keep the low rule
+    def exact_rows(rule):
+        argv = ["bench", "wstate", "--sizes", "4", "--backend", "evdd", "--norm-rule", rule]
+        assert main(argv) == 0
+        rows = read_csv(capsys.readouterr().out)
+        return [{**r, "runtime_ms": ""} for r in rows if r["coeffs"] == "exact"]
+
+    assert exact_rows("l2") == exact_rows("low")
 
 
 def test_bench_append_semantics(tmp_path, capsys):

@@ -40,6 +40,7 @@ from qddsim.measure import (
 )
 
 from conftest import assert_matches_dense
+from test_acceptance import _ccx_corpus
 
 
 # -- gate records ----------------------------------------------------------
@@ -92,6 +93,12 @@ def test_compile_sequence_concatenates():
     )
     assert [g.kind for g in seq] == ["h", "h", "cz", "h"]
     assert count_gates(seq) == (4, 0, 3, 1)
+    # count_gates reads each kind's share from a table; raw and compiled agree
+    for kind, arity in GATE_ARITY.items():
+        raw = (GateInstance(kind, tuple(range(arity))),)
+        assert count_gates(raw) == count_gates(compile_sequence(raw)), kind
+    for circ in _ccx_corpus():
+        assert count_gates(circ.gates) == count_gates(compile_sequence(circ.gates))
 
 
 # -- primitive semantics ---------------------------------------------------

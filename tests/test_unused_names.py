@@ -1,0 +1,44 @@
+"""Guard against dead code: every top-level name of the package is used.
+
+A top-level function, class or constant of ``src/qddsim/*.py`` must appear,
+as a whole word, somewhere besides its own definition: in ``src/``,
+``tests/`` or ``perfbench/``, or in the package's ``__all__``.  Dunder names
+are exempt.
+"""
+from __future__ import annotations
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import qddsim
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qddsim"
+
+
+def _top_level_names(tree: ast.Module) -> list[str]:
+    names = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names.extend(t.id for t in stmt.targets if isinstance(t, ast.Name))
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names.append(stmt.target.id)
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_top_level_name_is_used():
+    words = Counter()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    unused = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _top_level_names(ast.parse(path.read_text(encoding="utf-8")))
+        if words[name] < 2 and name not in qddsim.__all__
+    ]
+    assert not unused, unused
