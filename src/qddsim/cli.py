@@ -185,7 +185,7 @@ def _run_report(
 
 def _format_lim(state: State, edge) -> str:
     ops = state.store.ops
-    if ops.is_zero(edge.lim.factor):
+    if state.store.is_zero(edge):
         return "0"
     if ops.backend == "exact":
         scalar = render(edge.lim.factor)

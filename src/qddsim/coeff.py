@@ -7,11 +7,18 @@ The exact backend represents every coefficient canonically as
 with five Python ints over one shared denominator, in normal form: den > 0
 and gcd(a, b, c, d, den) = 1.  Because 1, sqrt(2), i and i*sqrt(2) are
 linearly independent over the rationals, that form is unique, so equality,
-hashing and interning of edge labels stay purely structural.  The subset is
+hashing and interning of edge labels stay purely structural; equality of
+two ring values compares the five ints and builds no tuples.  The subset is
 closed under +, -, *, / (division rationalizes through the complex conjugate
 and then the sqrt(2) conjugate, all in integers), contains the eighth root
 of unity omega = (1+i)/sqrt(2), and is therefore closed under everything a
 Clifford+T simulation produces.  ``a``..``d`` read back as reduced Fractions.
+
+``ONE`` is the unit the diagram core interns: ``ExactOps.mul`` and ``div``
+return an operand instead of multiplying by it, ``div`` returns ``ONE`` for
+equal operands and ``abs2(ONE)`` is ``ONE``, so the core can test for the
+unit by identity.  Each backend's ``is_zero`` and ``edge_is_zero`` (the test
+of a diagram edge's factor) is one Python call.
 
 The float backend uses plain ``complex`` doubles; equality and zero tests
 compare against a configurable absolute tolerance, and hashing rounds to a
@@ -56,12 +63,15 @@ class RingValue:
         return render(self)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = RingValue(other)
-        if not isinstance(other, RingValue):
-            return NotImplemented
-        return (self._a, self._b, self._c, self._d, self._den) == (
-            other._a, other._b, other._c, other._d, other._den)
+        # The diagram core compares ring values with ring values, so that
+        # case costs one type test and no tuples.
+        if type(other) is not RingValue:
+            if isinstance(other, int):
+                other = RingValue(other)
+            elif not isinstance(other, RingValue):
+                return NotImplemented
+        return (self._a == other._a and self._b == other._b and self._c == other._c
+                and self._d == other._d and self._den == other._den)
 
     def __hash__(self) -> int:
         if self._h is None:
@@ -322,9 +332,15 @@ class ExactOps:
     zero = ZERO
     one = ONE
 
+    # Zero tests run on every edge the diagram core touches, so each is one
+    # Python call: the ring's own test, not a call that delegates to it.
+    is_zero = staticmethod(RingValue.is_zero)
+
     @staticmethod
-    def is_zero(x: RingValue) -> bool:
-        return x.is_zero()
+    def edge_is_zero(edge) -> bool:
+        """``is_zero`` of a diagram edge's label factor, ``edge.lim.factor``."""
+        x = edge.lim.factor
+        return not (x._a or x._b or x._c or x._d)
 
     @staticmethod
     def eq(x: RingValue, y: RingValue) -> bool:
@@ -371,7 +387,8 @@ class ExactOps:
 
     @staticmethod
     def abs2(x: RingValue) -> RingValue:
-        return x.abs2()
+        # |1|^2 is ONE itself, so a later mul by it skips the ring.
+        return ONE if x is ONE else x.abs2()
 
     @staticmethod
     def i_power(k: int) -> RingValue:
@@ -427,6 +444,10 @@ class FloatOps:
 
     def is_zero(self, x: complex) -> bool:
         return abs(x) <= self.tolerance
+
+    def edge_is_zero(self, edge) -> bool:
+        """``is_zero`` of a diagram edge's label factor, ``edge.lim.factor``."""
+        return abs(edge.lim.factor) <= self.tolerance
 
     def eq(self, x: complex, y: complex) -> bool:
         return abs(x - y) <= self.tolerance

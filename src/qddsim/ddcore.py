@@ -18,11 +18,21 @@ Every zero edge, a node's zero child included, is ``zero_edge(level)``: the
 backend zero as factor, the identity string (whose length carries the
 level) and the terminal as target.  ``make_edge`` is total: two zero
 children give the zero edge one level up.
+
+The hot path makes few Python calls per edge.  ``is_zero`` is the
+backend's own edge test, one call.  Identity labels carry the interned
+``ops.one`` (``identity_lim`` keeps one label per width, and the exact
+ring's ``mul``, ``div`` and ``abs2`` hand ``ONE`` back), so unit tests
+compare by identity; a value equal to one that is another object takes the
+general path, which gives the same node (on the float backend, 1*x may flip
+the sign of a zero part).  A unique-table key is one flat tuple,
+``(level, low factor key, low x, low z, low node id, high factor key, high
+x, high z, high node id)``, with the backend's ``key`` of each factor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .coeff import CoeffPolicy, ScalarOps, bit_size, scalar_ops
 from .pauli import (
@@ -101,6 +111,9 @@ class DDStore:
             raise ValueError(f"gc_ratio must be positive, got {gc_ratio}")
         self.policy = policy if policy is not None else CoeffPolicy()
         self.ops: ScalarOps = scalar_ops(self.policy)
+        # Whether an edge is zero: its factor under the backend's zero test,
+        # one call per edge.
+        self.is_zero: Callable[[Edge], bool] = self.ops.edge_is_zero
         if norm_rule == "l2" and (mode != "evdd" or self.policy.backend != "float"):
             raise ValueError("l2 normalization requires the float evdd backend")
         self.mode = mode
@@ -132,9 +145,6 @@ class DDStore:
             self._zeros[level] = edge
         return edge
 
-    def is_zero(self, edge: Edge) -> bool:
-        return self.ops.is_zero(edge.lim.factor)
-
     def identity_lim(self, n: int) -> PauliLIM:
         """The identity label on n qubits; one object per width, so its
         factor is always the backend's ``one`` itself."""
@@ -152,14 +162,12 @@ class DDStore:
     # -- unique table ------------------------------------------------------
 
     def _node_key(self, level: int, low: Edge, high: Edge) -> tuple:
-        ops = self.ops
-        return (
-            level,
-            lim_key(ops, low.lim),
-            low.node.id,
-            lim_key(ops, high.lim),
-            high.node.id,
-        )
+        """The flat unique-table key of the module docstring: each label
+        contributes ``lim_key``'s fields, with no tuple of its own."""
+        key = self.ops.key
+        lo, hi = low.lim, high.lim
+        return (level, key(lo.factor), lo.string.x, lo.string.z, low.node.id,
+                key(hi.factor), hi.string.x, hi.string.z, high.node.id)
 
     def _make_node(self, level: int, low: Edge, high: Edge) -> Node:
         key = self._node_key(level, low, high)
@@ -184,7 +192,7 @@ class DDStore:
         if (
             self.norm_rule == "low"
             and not (lo.string.x or lo.string.z)
-            and lo.factor == self.ops.one
+            and lo.factor is self.ops.one
         ):
             # Children that a stored node holds are canonical: the rest of
             # this method would return that node under an identity root.
@@ -223,9 +231,14 @@ class DDStore:
 
     def _one_branch(self, m: int, edge: Edge, bit: int) -> Edge:
         """|bit>(edge) one level up, for a nonzero edge."""
-        child, zero = Edge(self.identity_lim(m), edge.node), self.zero_edge(m)
-        node = self._make_node(m + 1, *((zero, child) if bit else (child, zero)))
-        return Edge(_lift(edge.lim, m + 1), node)
+        lim = edge.lim
+        if lim.factor is self.ops.one and not (lim.string.x or lim.string.z):
+            # An identity-labelled edge is its own child under an identity root.
+            child, root = edge, self.identity_lim(m + 1)
+        else:
+            child, root = Edge(self.identity_lim(m), edge.node), _lift(lim, m + 1)
+        zero = self.zero_edge(m)
+        return Edge(root, self._make_node(m + 1, *((zero, child) if bit else (child, zero))))
 
     def _make_edge_evdd(self, m: int, low: Edge, high: Edge, low_zero: bool) -> Edge:
         # A normalized weight can read as zero on the float backend although
@@ -253,12 +266,14 @@ class DDStore:
         c = ops.div(b, a)
         if ops.is_zero(c):
             return self._one_branch(m, low, 0)
-        node = self._make_node(
-            m + 1,
-            Edge(self.identity_lim(m), low.node),
-            Edge(PauliLIM(c, PauliString(m, 0, 0)), high.node),
-        )
-        return Edge(PauliLIM(a, PauliString(m + 1, 0, 0)), node)
+        # Children that are already normalized are reused as they are.
+        if a is ops.one:
+            child0, root = low, self.identity_lim(m + 1)
+        else:
+            child0 = Edge(self.identity_lim(m), low.node)
+            root = PauliLIM(a, PauliString(m + 1, 0, 0))
+        child1 = high if c is b else Edge(PauliLIM(c, high.lim.string), high.node)
+        return Edge(root, self._make_node(m + 1, child0, child1))
 
     def _get_labels(
         self, a_hat: PauliLIM, v0: Node, v1: Node, outer: PauliLIM
@@ -483,23 +498,20 @@ class DDStore:
         return seen
 
     def stats(self, root: Edge, n_qubits: int) -> DiagramStats:
-        live = self.reachable([root])
+        """One pass over the reachable nodes.  Factors that are the interned
+        one are not sized: their size, 1, is the least ``bit_size`` gives."""
         width = [0] * (n_qubits + 1)
-        for node in live.values():
+        exact = self.ops.backend == "exact"
+        one = self.ops.one
+        bits = bit_size(root.lim.factor) if exact else 0
+        for node in self.reachable([root]).values():
             if node.level > 0:
                 width[node.level] += 1
-        bits = 0
-        if self.ops.backend == "exact":
-            bits = bit_size(root.lim.factor)
-            for node in live.values():
-                if node.level > 0:
-                    bits = max(
-                        bits,
-                        bit_size(node.low.lim.factor),
-                        bit_size(node.high.lim.factor),
-                    )
-        count = sum(1 for node in live.values() if node.level > 0)
-        return DiagramStats(count, tuple(width), bits)
+                if exact:
+                    for e in (node.low, node.high):
+                        if e.lim.factor is not one:
+                            bits = max(bits, bit_size(e.lim.factor))
+        return DiagramStats(sum(width), tuple(width), bits)
 
     def check_invariants(self, root: Edge) -> None:
         ops = self.ops

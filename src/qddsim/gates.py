@@ -30,9 +30,9 @@ the other value; Clifford kinds and steps conjugate the label.  ccx is not
 Clifford: past a label P it leaves a Clifford behind, ccx P = P C ccx, which
 the driver applies to the node's result with the Clifford kinds.  Identity
 strings, which include every evdd label, commute with everything, and an
-identity label passes the node's result through unchanged.  In limdd mode
-Pauli gates reduce to one label multiplication at the root, so they end a
-run rather than join it.
+identity label whose factor is the interned ``ops.one`` passes the node's
+result through unchanged.  In limdd mode Pauli gates reduce to one label
+multiplication at the root, so they end a run rather than join it.
 cx with the control above the target flips the target on the control's high
 branch, and ccx with a control on top applies cx on that branch; with the
 target above, and for swap, the branches at the upper level are regrouped
@@ -180,7 +180,7 @@ def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
         sub = _apply(store, sub, clifford)
     if store.is_zero(sub):
         return store.zero_edge(lim.string.n)
-    if not (s.x or s.z) and lim.factor == store.ops.one:
+    if not (s.x or s.z) and lim.factor is store.ops.one:
         return sub
     return Edge(lim_mul(store.ops, lim, sub.lim), sub.node)
 
@@ -235,7 +235,9 @@ def _apply_node(store: DDStore, node, op: tuple) -> Edge:
     if hit is not None:
         return hit
     kind, bits, arg = op
-    if node.level - 1 == max(bits):
+    # The recursion descends one level at a time from above the highest
+    # bit, so the first level that holds a bit holds the highest.
+    if node.level - 1 in bits:
         res = _AT_LEVEL[kind](store, node, bits, arg)
     else:
         res = store.make_edge(_apply(store, node.low, op), _apply(store, node.high, op))

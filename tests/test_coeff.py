@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from functools import cmp_to_key, total_ordering
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qddsim.coeff import (
@@ -401,6 +401,7 @@ quad_st = st.tuples(ref_fraction_st, ref_fraction_st, ref_fraction_st, ref_fract
 
 @settings(max_examples=300, deadline=None)
 @given(quad_st, quad_st, st.integers(0, 7))
+@example((F(-3), F(0), F(0), F(0)), (F(-3), F(0), F(0), F(0)), 0)  # equals the int -3
 def test_ring_matches_fraction_reference(xs, ys, k):
     x, y = RingValue(*xs), RingValue(*ys)
     assert_matches(x, xs)
@@ -418,6 +419,15 @@ def test_ring_matches_fraction_reference(xs, ys, k):
         pairs.append((ONE / y, ref_div((F(1), F(0), F(0), F(0)), ys)))
     for got, want in pairs:
         assert_matches(got, want)
+    # equality: against itself, an equal copy, ints and a non-ring object
+    copy = RingValue(*xs)
+    assert x == x and x == copy and not x != copy and copy is not x
+    assert (x == y) == (xs == ys)
+    half = RingValue(*(v / 2 for v in xs))  # same numerators as x, or 2x's
+    assert (x == half) == (not any(xs))
+    n = int(xs[0])
+    assert (x == n) == (n == x) == (xs == (n, 0, 0, 0))
+    assert x.__eq__("x") is NotImplemented and x != "x"
 
 
 @settings(max_examples=300, deadline=None)

@@ -31,6 +31,7 @@ from qddsim.coeff import (
     omega_power,
 )
 from qddsim.ddcore import DDStore, DiagramError, Edge
+from qddsim.gates import _apply
 from qddsim.pauli import PauliLIM, PauliString, joint_echelon, lim_mul, string_key
 
 from conftest import random_corpus
@@ -203,6 +204,57 @@ def test_identity_factors_are_the_backend_one():
             assert store.identity_lim(n) is store.identity_lim(n)
             assert store.identity_lim(n).factor is store.ops.one
             assert store.zero_edge(n) is store.zero_edge(n)
+
+
+@pytest.mark.parametrize("backend,tol", [("exact", None), ("float", 0.0), ("float", 1e-14)])
+def test_edge_zero_test_is_the_backend_zero_test(backend, tol):
+    """``store.is_zero`` answers as the backend's test of the edge's factor,
+    at and around the tolerance, for ring zeros built by arithmetic and for
+    terminal edges."""
+    store = fresh(mode="evdd", policy=CoeffPolicy(backend, tol))
+    ops = store.ops
+    if backend == "exact":
+        x = RingValue(F(3, 7), 1, F(-2, 5), 4)
+        zeros = [x - x, ONE - ONE, x * (I_UNIT - I_UNIT), ZERO]
+        assert all(z == ZERO for z in zeros) and zeros[0] is not ZERO
+        factors = zeros + [x, ONE, MINUS_ONE, RingValue(0, 0, 0, F(1, 1 << 40))]
+        want = [True] * len(zeros) + [False] * 4
+    else:
+        t = ops.tolerance
+        factors = [0j, complex(-0.0, -0.0), (1 + 2j) - (1 + 2j),
+                   complex(t / 2), complex(-t / 2), complex(0, t / 2), complex(t), complex(0, -t),
+                   complex(5e-324), complex(2 * t), complex(0, -2 * t), 1 + 0j]
+        # 5e-324 is the least positive double
+        want = [True] * 8 + [t > 0, t == 0, t == 0, False]
+    node = store.zero_state(2).node
+    for f, expected in zip(factors, want):
+        assert ops.is_zero(f) == expected, f
+        if backend == "exact":
+            assert ops.is_zero(f) == f.is_zero() == (not f)
+        for edge in (store.terminal_edge(f), Edge(PauliLIM(f, PauliString(2, 0, 0)), node)):
+            assert store.is_zero(edge) == ops.is_zero(edge.lim.factor), f
+
+
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_unit_equal_to_one_but_not_interned_gives_the_same_result(mode):
+    """Unit tests go by identity with ``ops.one``; a ring value equal to one
+    that is another object takes the general path to the same edges."""
+    store = fresh(mode=mode)
+    one_copy = RingValue(1)
+    assert one_copy == ONE and one_copy is not ONE
+    root = simulate(gen_random(4, 30, seed=3, max_t=3), store=store)[0].root
+    checked = 0
+    for node in store.reachable([root]).values():
+        if node.level < 2 or store.is_zero(node.low):
+            continue
+        checked += 1
+        low = node.low
+        copy = Edge(PauliLIM(one_copy, low.lim.string), low.node)
+        assert store.make_edge(copy, node.high) == store.make_edge(low, node.high)
+        op = ("run", (node.level - 2,), (("h", 0),))
+        assert _apply(store, copy, op) == _apply(store, low, op)
+    assert checked >= 3
+
 
 def _trivial_group_node(store: DDStore, scale: int) -> Edge:
     """Single-qubit node reached from |0> + scale*omega|1>; its Pauli

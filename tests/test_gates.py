@@ -511,24 +511,48 @@ def test_identity_label_passes_the_node_result_through(mode, backend):
 WSTATE8_CALL_CEILINGS = {"mul": 174, "labels": 97, "joint": 70}
 
 
+def _call_counter(counts: dict):
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+    return counted
+
+
 def test_wstate8_call_counts_stay_at_their_ceilings(monkeypatch):
     """A lost fast path shows here as more ring multiplies, label
     canonicalizations or joint bases."""
     from qddsim import coeff, ddcore
 
     counts = dict.fromkeys(WSTATE8_CALL_CEILINGS, 0)
-
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
-
+    counted = _call_counter(counts)
     monkeypatch.setattr(coeff.RingValue, "__mul__", counted("mul", coeff.RingValue.__mul__))
     monkeypatch.setattr(DDStore, "_get_labels", counted("labels", DDStore._get_labels))
     monkeypatch.setattr(ddcore, "joint_echelon", counted("joint", ddcore.joint_echelon))
     state, _ = simulate(gen_wstate(8))
     assert all(counts[k] <= WSTATE8_CALL_CEILINGS[k] for k in counts), counts
+    state.check()
+
+
+# Python-level calls during exact-EVDD simulate(gen_wstate(8)) before unit
+# tests went by identity and ring equality took its typed path: 709, 1104
+# and 229.
+WSTATE8_EVDD_CALL_CEILINGS = {"eq": 65, "hash": 1104, "make_node": 229}
+
+
+def test_wstate8_evdd_call_counts_stay_at_their_ceilings(monkeypatch):
+    """A unit test that compares by value again shows here as more ring
+    equality calls; a lost table shortcut as more hashes or node builds."""
+    from qddsim import coeff
+
+    counts = dict.fromkeys(WSTATE8_EVDD_CALL_CEILINGS, 0)
+    counted = _call_counter(counts)
+    monkeypatch.setattr(coeff.RingValue, "__eq__", counted("eq", coeff.RingValue.__eq__))
+    monkeypatch.setattr(coeff.RingValue, "__hash__", counted("hash", coeff.RingValue.__hash__))
+    monkeypatch.setattr(DDStore, "_make_node", counted("make_node", DDStore._make_node))
+    state, _ = simulate(gen_wstate(8), mode="evdd")
+    assert all(counts[k] <= WSTATE8_EVDD_CALL_CEILINGS[k] for k in counts), counts
     state.check()
 
 
