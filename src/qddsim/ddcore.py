@@ -21,11 +21,12 @@ children give the zero edge one level up.
 
 The hot path makes few Python calls per edge.  ``is_zero`` is the
 backend's own edge test, one call.  Identity labels carry the interned
-``ops.one`` (``identity_lim`` keeps one label per width, and the exact
-ring's ``mul``, ``div`` and ``abs2`` hand ``ONE`` back), so unit tests
-compare by identity; a value equal to one that is another object takes the
-general path, which gives the same node (on the float backend, 1*x may flip
-the sign of a zero part).  A unique-table key is one flat tuple,
+``ops.one`` (``identity_lim`` keeps one label per width, the exact ring's
+``mul``, ``div`` and ``abs2`` hand ``ONE`` back, and so does
+``_get_labels`` for factors equal to one), so unit tests compare by
+identity; a value equal to one that is another object takes the general
+path, which gives the same node (on the float backend, 1*x may flip the
+sign of a zero part).  A unique-table key is one flat tuple,
 ``(level, low factor key, low x, low z, low node id, high factor key, high
 x, high z, high node id)``, with the backend's ``key`` of each factor.
 """
@@ -331,10 +332,13 @@ class DDStore:
             root = (g0[0], g0[1], g0[2] | top) if s_bit else g0
         o = outer.string
         k, x, z = row_mul((0, o.x, o.z), root)
-        factor = ops.mul(outer.factor, lam) if x_bit else outer.factor
+        factor = times_i(ops, ops.mul(outer.factor, lam) if x_bit else outer.factor, k)
+        # Products such as -(-1) and i * -i equal one without being the
+        # interned one that the unit tests compare against.
+        one = ops.one
         return (
-            PauliLIM(mu, PauliString(m, px, pz)),
-            PauliLIM(times_i(ops, factor, k), PauliString(m + 1, x, z)),
+            PauliLIM(one if mu == one else mu, PauliString(m, px, pz)),
+            PauliLIM(one if factor == one else factor, PauliString(m + 1, x, z)),
         )
 
     # -- stabilizer groups -------------------------------------------------

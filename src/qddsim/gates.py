@@ -9,11 +9,12 @@ counts in reports count that expansion, but ``count_gates`` reads each
 kind's share of it from a table, so no circuit is compiled to be counted.
 
 Every diagram operation is a hashable ``(kind, bits, arg)`` run by one
-driver.  ``_apply`` moves the operation past an edge's label, and the
-memoized ``_apply_node`` recurses over hash-consed nodes down to the level of
-the operation's highest bit, where one function per kind builds the result
-(``_AT_LEVEL``).  A node's result never goes stale because nodes are
-immutable, so the operation cache is cleared only to reclaim memory.
+driver function, ``_apply``, with one stack frame per level.  It moves the
+operation past an edge's label, then recurses over hash-consed nodes,
+memoizing each node's result, down to the level of the operation's highest
+bit, where one function per kind builds the result (``_AT_LEVEL``).  A
+node's result never goes stale because nodes are immutable, so the
+operation cache is cleared only to reclaim memory.
 
 Single-qubit gates are one kind, ``run``: its arg is a tuple of steps, in
 application order, that all act on one bit.  A step is ``("diag", p)``,
@@ -158,24 +159,36 @@ def _check_bits(n: int, bits: tuple[int, ...]) -> None:
 
 def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
     """The operation applied to the edge's state: moved past the edge's
-    label, then applied to its node."""
+    label, then applied to its node, whose result is memoized under
+    ``(op, node.id)``."""
     if store.is_zero(edge):
         return edge
     lim = edge.lim
     s = lim.string
+    kind, bits, arg = op
     then: Iterable[tuple] = ()
     if s.x or s.z:
-        kind, bits, arg = op
         if kind == "run":
-            lim, steps = _run_past_lim(store, lim, bits[0], arg)
-            op = (kind, bits, steps)
+            lim, arg = _run_past_lim(store, lim, bits[0], arg)
+            op = (kind, bits, arg)
         elif kind == "proj":
-            op = (kind, bits, arg ^ ((s.x >> bits[0]) & 1))
+            arg ^= (s.x >> bits[0]) & 1
+            op = (kind, bits, arg)
         elif kind == "ccx":
             lim, then = _ccx_past_lim(store, lim, bits)
         else:
             lim = conjugate_lim(store.ops, lim, kind, bits)
-    sub = _apply_node(store, edge.node, op)
+    node = edge.node
+    key = (op, node.id)
+    sub = store.op_cache.get(key)
+    if sub is None:
+        # The recursion descends one level at a time from above the highest
+        # bit, so the first level that holds a bit holds the highest.
+        if node.level - 1 in bits:
+            sub = _AT_LEVEL[kind](store, node, bits, arg)
+        else:
+            sub = store.make_edge(_apply(store, node.low, op), _apply(store, node.high, op))
+        store.op_cache[key] = sub
     for clifford in then:
         sub = _apply(store, sub, clifford)
     if store.is_zero(sub):
@@ -227,22 +240,6 @@ def _ccx_past_lim(store: DDStore, lim: PauliLIM, bits) -> tuple[PauliLIM, list]:
         k, x, z = row_mul((0, s.x, s.z), q)
         lim = PauliLIM(times_i(store.ops, lim.factor, k), PauliString(s.n, x, z))
     return lim, then
-
-
-def _apply_node(store: DDStore, node, op: tuple) -> Edge:
-    key = (op, node.id)
-    hit = store.op_cache.get(key)
-    if hit is not None:
-        return hit
-    kind, bits, arg = op
-    # The recursion descends one level at a time from above the highest
-    # bit, so the first level that holds a bit holds the highest.
-    if node.level - 1 in bits:
-        res = _AT_LEVEL[kind](store, node, bits, arg)
-    else:
-        res = store.make_edge(_apply(store, node.low, op), _apply(store, node.high, op))
-    store.op_cache[key] = res
-    return res
 
 
 def _apply_pauli(store: DDStore, edge: Edge, kind: str, bit: int) -> Edge:

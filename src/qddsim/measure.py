@@ -25,23 +25,18 @@ class ZeroStateError(Exception):
     """The state has no norm left to condition on."""
 
 
-def _node_snorm(store: DDStore, node) -> object:
-    if node.level == 0:
-        return store.ops.one
-    cached = store.snorm_cache.get(node.id)
-    if cached is None:
-        cached = store.ops.add(
-            _edge_snorm(store, node.low), _edge_snorm(store, node.high)
-        )
-        store.snorm_cache[node.id] = cached
-    return cached
-
-
 def _edge_snorm(store: DDStore, edge: Edge) -> object:
+    """The edge's squared norm: its factor's times its node's, which is
+    cached per node."""
     ops = store.ops
     if store.is_zero(edge):
         return ops.zero
-    return ops.mul(ops.abs2(edge.lim.factor), _node_snorm(store, edge.node))
+    node = edge.node
+    snorm = ops.one if node.level == 0 else store.snorm_cache.get(node.id)
+    if snorm is None:
+        snorm = ops.add(_edge_snorm(store, node.low), _edge_snorm(store, node.high))
+        store.snorm_cache[node.id] = snorm
+    return ops.mul(ops.abs2(edge.lim.factor), snorm)
 
 
 def squared_norm(store: DDStore, edge: Edge) -> object:

@@ -173,7 +173,7 @@ def test_non_finite_tolerance_is_one_error_line(qasm_file, capsys):
 
 def test_simulate_exit_one_on_resource_errors(tmp_path, capsys, monkeypatch):
     deep = tmp_path / "deep.qasm"
-    deep.write_text("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[600];\nh q[599];\n")
+    deep.write_text("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2000];\nh q[1999];\n")
     assert main(["simulate", str(deep)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: RecursionError") and err.count("\n") == 1

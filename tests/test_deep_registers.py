@@ -1,0 +1,85 @@
+"""Deep registers: every diagram walk takes about one stack frame per level."""
+from __future__ import annotations
+
+import sys
+from fractions import Fraction
+
+import pytest
+
+from qddsim import Circuit, GateInstance, simulate
+from qddsim.coeff import INV_SQRT2, ONE, ZERO, RingValue
+from qddsim.measure import measurement_probability, sample_counts, squared_norm
+
+
+def _spanning_circuit(n: int) -> Circuit:
+    """Gates of every kind on the bottom bits and between the top and the
+    bottom qubits.  With a = q[0], d = q[n-3], b = q[n-2] and c = q[n-1],
+    it ends in (|0000> - |1111>)/sqrt2 on (a, d, b, c), every other qubit
+    at |0>; the comments give the state after each group."""
+    a, d, b, c = 0, n - 3, n - 2, n - 1
+
+    def g(kind, *qubits):
+        return GateInstance(kind, qubits)
+
+    return Circuit(n, (
+        g("h", c), g("t", c),  # |0000> + w|0001>, w = omega
+        g("cx", c, b),  # |0000> + w|0011>
+        g("cx", b, a),  # |0000> + w|1011>
+        g("cx", a, d),  # |0000> + w|1111>
+        g("swap", b, c), g("swap", a, c),  # symmetric: unchanged
+        g("cz", b, c), g("cz", a, c),  # two sign flips: unchanged
+        g("ccx", d, b, c),  # |0000> + w|1110>
+        g("ccx", a, b, c),  # |0000> + w|1111>
+        g("ccx", c, d, a),  # |0000> + w|0111>
+        g("cx", d, a),  # |0000> + w|1111>
+        g("t", c), g("s", c), g("h", c), g("h", c),  # |0000> - |1111>
+    ))
+
+
+HALF = RingValue(Fraction(1, 2))
+
+
+def _check_spanning_state(state, n: int) -> None:
+    top = 1 << (n - 1)
+    assert state.amplitude(0) == INV_SQRT2
+    assert state.amplitude(top | 0b111) == -INV_SQRT2
+    for index in (top, 0b111, top | 0b011, 1 << (n // 2)):
+        assert state.amplitude(index) == ZERO
+    assert squared_norm(state.store, state.root) == ONE
+    assert measurement_probability(state, n - 1) == HALF
+    assert measurement_probability(state, 0) == HALF
+    assert measurement_probability(state, n // 2) == ONE
+    zeros, ones = sample_counts(state, n - 1, 100, rng=7)
+    assert zeros + ones == 100 and zeros and ones
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_public_operations_take_one_frame_per_level(mode):
+    """Under a recursion limit of n frames plus a fixed margin, so that a
+    walk taking two frames per level fails."""
+    n = 200
+    circuit = _spanning_circuit(n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + n + 40)
+    try:
+        state, _ = simulate(circuit, mode=mode)
+        _check_spanning_state(state, n)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_wide_register_runs_end_to_end(mode):
+    n = 800
+    state, run = simulate(_spanning_circuit(n), mode=mode)
+    _check_spanning_state(state, n)
+    # One node per level in limdd; evdd keeps the |0...0> and |1...1>
+    # branches apart below the top qubit.
+    assert run.final_nodes == (n + 1 if mode == "limdd" else 2 * n)

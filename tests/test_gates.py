@@ -24,7 +24,6 @@ from qddsim.gates import (
     GATE_ARITY,
     PRIMITIVE_KINDS,
     _apply,
-    _apply_node,
     apply_gate,
     compile_gate,
     compile_sequence,
@@ -501,7 +500,7 @@ def test_identity_label_passes_the_node_result_through(mode, backend):
             ("run", (node.level - 1,), (("diag", 1), ("h", 0), ("y", 0))),
             ("cz", (1, 0), 0),
         ):
-            assert _apply(store, edge, op) is _apply_node(store, node, op)
+            assert _apply(store, edge, op) is store.op_cache[(op, node.id)]
 
 
 # Calls during exact-LIMDD simulate(gen_wstate(8)) before the fast paths for
