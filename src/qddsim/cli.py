@@ -102,11 +102,6 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _gc_ratio() -> float | None:
-    env = os.environ.get("QDD_GC_THRESHOLD")
-    return float(env) if env else None
-
-
 def _decimal_str(value: Decimal) -> str:
     text = format(value, "f")
     return text if "." in text else text + ".0"
@@ -129,10 +124,8 @@ def _run_report(
     check_bounds: bool = False,
     gc_capacity: int | None = None,
 ) -> tuple[State, RunStats, dict]:
-    gc = {"gc_capacity": gc_capacity, "gc_ratio": _gc_ratio()}
-    store = DDStore(
-        policy, backend, norm_rule, **{k: v for k, v in gc.items() if v is not None}
-    )
+    gc = {} if gc_capacity is None else {"gc_capacity": gc_capacity}
+    store = DDStore(policy, backend, norm_rule, **gc)
     state, run = simulate(
         circuit, check_coeffs=check_coeffs, check_bounds=check_bounds, store=store
     )

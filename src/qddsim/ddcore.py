@@ -98,18 +98,14 @@ class DDStore:
         mode: str = "limdd",
         norm_rule: str = "low",
         gc_capacity: int = 1 << 16,
-        gc_ratio: float = 0.75,
     ) -> None:
         if mode not in ("evdd", "limdd"):
             raise ValueError(f"unknown diagram mode {mode!r}")
         if norm_rule not in ("low", "l2"):
             raise ValueError(f"unknown normalization rule {norm_rule!r}")
-        # maybe_collect doubles the capacity until the live nodes fit under
-        # capacity * ratio: never for these values, and NaN never grows it.
+        # maybe_collect would double a capacity below 1 forever.
         if gc_capacity < 1:
             raise ValueError(f"gc_capacity must be at least 1, got {gc_capacity}")
-        if not gc_ratio > 0:
-            raise ValueError(f"gc_ratio must be positive, got {gc_ratio}")
         self.policy = policy if policy is not None else CoeffPolicy()
         self.ops: ScalarOps = scalar_ops(self.policy)
         # Whether an edge is zero: its factor under the backend's zero test,
@@ -131,7 +127,6 @@ class DDStore:
         self.snorm_cache: dict[int, object] = {}
         self.peak_nodes = 1
         self.gc_capacity = gc_capacity
-        self.gc_ratio = gc_ratio
         self.gc_runs = 0
 
     # -- edge constructors -------------------------------------------------
@@ -428,8 +423,11 @@ class DDStore:
 
     def eval_amplitude(self, edge: Edge, index: int) -> object:
         """Amplitude of one basis state; bit k-1 of the index is qubit k."""
+        n = edge.lim.string.n
+        if not 0 <= index < 1 << n:
+            raise ValueError(f"basis index {index} out of range for {n} qubits")
         cur = edge
-        for m in range(edge.lim.string.n, 0, -1):
+        for m in range(n, 0, -1):
             cur = self.follow(cur, (index >> (m - 1)) & 1)
         return cur.lim.factor
 
@@ -584,7 +582,7 @@ class DDStore:
         if len(self.unique) + 1 < self.gc_capacity:
             return False
         self.collect(roots)
-        while len(self.unique) + 1 > self.gc_capacity * self.gc_ratio:
+        while len(self.unique) + 1 > self.gc_capacity * 0.75:
             self.gc_capacity *= 2
         return True
 

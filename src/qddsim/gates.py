@@ -2,11 +2,12 @@
 
 The simulator applies every gate of the set directly as a diagram
 operation: h, the diagonal phase family (t, tdg, s, sdg, z), the Paulis, cz,
-cx, swap and ccx.  ``apply_gate`` takes the primitive set, which has no cx
-or ccx.  ``compile_gate`` still expands every gate into that set (cx as
-h-cz-h, ccx as the standard seven-T network of ``stabtrack``).  The gate
-counts in reports count that expansion, but ``count_gates`` reads each
-kind's share of it from a table, so no circuit is compiled to be counted.
+cx, swap and ccx; ``apply_gate`` takes any one of them as the one operation
+``simulate`` makes of it.  ``compile_gate`` still expands every gate into
+the primitive set, which has no cx or ccx (cx as h-cz-h, ccx as the
+standard seven-T network of ``stabtrack``).  The gate counts in reports
+count that expansion, but ``count_gates`` reads each kind's share of it
+from a table, so no circuit is compiled to be counted.
 
 Every diagram operation is a hashable ``(kind, bits, arg)`` run by one
 driver function, ``_apply``, with one stack frame per level.  It moves the
@@ -60,7 +61,7 @@ from .pauli import (
     row_mul,
     times_i,
 )
-from .stabtrack import _CCX_NETWORK, BoundReport, t_weight, track
+from .stabtrack import _CCX_NETWORK, GATE_ARITY, BoundReport, t_weight, track
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,6 @@ class GateInstance:
         if arity > 1 and len(set(self.qubits)) != arity:
             raise ValueError(f"{self.kind} qubits must be distinct")
 
-
-GATE_ARITY = {
-    "h": 1, "t": 1, "tdg": 1, "s": 1, "sdg": 1,
-    "x": 1, "y": 1, "z": 1,
-    "cz": 2, "cx": 2, "swap": 2,
-    "ccx": 3,
-}
 
 PRIMITIVE_KINDS = frozenset(
     {"h", "t", "tdg", "s", "sdg", "x", "y", "z", "cz", "swap"}
@@ -350,15 +344,14 @@ _STEP.update((kind, ("diag", p)) for kind, p in DIAG_OCTANT.items())
 
 
 def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> Edge:
-    """Apply one primitive gate; ``bits`` are internal positions (top = n-1)."""
-    _check_bits(edge.lim.string.n, bits)
-    if kind in ("x", "y", "z"):
-        return _apply_pauli(store, edge, kind, bits[0])
-    if kind in _STEP:
-        return _apply(store, edge, ("run", (bits[0],), (_STEP[kind],)))
-    if kind in ("cz", "swap"):
-        return _apply(store, edge, (kind, tuple(sorted(bits, reverse=True)), 0))
-    raise ValueError(f"not a primitive gate kind: {kind!r}")
+    """Apply one gate of the set as the one operation ``_operations`` makes
+    of it; ``bits`` are internal positions (top = n-1)."""
+    n = edge.lim.string.n
+    gate = GateInstance(kind, tuple(n - 1 - b for b in bits))
+    _, op = next(_operations((gate,), n, store.mode == "limdd", False))
+    if op[0] in ("x", "y", "z"):  # limdd
+        return _apply_pauli(store, edge, kind, op[1][0])
+    return _apply(store, edge, op)
 
 
 # -- full-circuit driver ---------------------------------------------------
@@ -371,7 +364,8 @@ def _operations(gates, n: int, limdd: bool, fuse: bool):
     (limdd Paulis are label multiplies and end it); adjacent diag steps add
     their octants, and a run whose steps cancel is left out.  Otherwise
     every single-qubit gate is a run of its own.  The other kinds keep their
-    gate name, and ccx takes its higher control first."""
+    gate name, and cz, swap and ccx take the higher of their first two bits
+    first."""
     run_bit, steps, last = None, [], -1
     for i, gate in enumerate(gates):
         bits = tuple(n - 1 - q for q in gate.qubits)
@@ -391,8 +385,8 @@ def _operations(gates, n: int, limdd: bool, fuse: bool):
         run_bit, steps, last = None, [], i
         if step is not None:
             run_bit, steps = bits[0], [step]
-        elif gate.kind == "ccx":
-            yield i, ("ccx", (max(bits[:2]), min(bits[:2]), bits[2]), 0)
+        elif gate.kind in ("cz", "swap", "ccx"):
+            yield i, (gate.kind, (max(bits[:2]), min(bits[:2])) + bits[2:], 0)
         else:
             yield i, (gate.kind, bits, 0)
     if steps:

@@ -39,6 +39,13 @@ from typing import NamedTuple
 
 from .pauli import Basis, Row, combine, conj_bits, echelon, reduce_key, row_mul, string_key
 
+GATE_ARITY = {
+    "h": 1, "t": 1, "tdg": 1, "s": 1, "sdg": 1,
+    "x": 1, "y": 1, "z": 1,
+    "cz": 2, "cx": 2, "swap": 2,
+    "ccx": 3,
+}
+
 _CLIFFORD_KINDS = frozenset({"h", "s", "sdg", "x", "y", "z", "cz", "cx", "swap"})
 
 # ccx(a, b, t) as the standard seven-T network; indices pick from (a, b, t).
@@ -85,11 +92,18 @@ class StabilizerTableau:
 
     def apply_gate(self, kind: str, bits: tuple[int, ...]) -> int:
         """Update for one gate on internal bit positions; returns how many
-        rows were dropped."""
+        rows were dropped.  The gate must name a known kind and as many
+        distinct bits in range as that kind takes (a negative bit fails the
+        shift that builds the support mask)."""
+        arity = GATE_ARITY.get(kind)
+        if arity is None:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        support = 0
+        for bit in bits:
+            support |= 1 << bit
+        if support >> self.n or support.bit_count() != arity or len(bits) != arity:
+            raise ValueError(f"{kind} takes {arity} distinct bit(s) below {self.n}, got {bits}")
         if kind in _CLIFFORD_KINDS:
-            support = 0
-            for bit in bits:
-                support |= 1 << bit
             rows: list[Row] = []
             for row in self._rows:  # a row off the support conjugates to itself
                 k, x, z = row
@@ -106,10 +120,8 @@ class StabilizerTableau:
                 self.dirty |= support
             return 0
         if kind in ("t", "tdg"):
-            return self._discard_component(x_mask=1 << bits[0], z_mask=0)
-        if kind == "ccx":
-            return self._apply_toffoli(*bits)
-        raise ValueError(f"tableau cannot track gate kind {kind!r}")
+            return self._discard_component(x_mask=support, z_mask=0)
+        return self._apply_toffoli(*bits)  # ccx
 
     def _discard_component(self, x_mask: int, z_mask: int) -> int:
         """Drop the (at most one-dimensional) part of the group that fails

@@ -202,24 +202,11 @@ def test_exit_two_on_check_violation(qasm_file, capsys, monkeypatch):
     jsonschema.validate(report, SCHEMA)
 
 
-def test_gc_threshold_env(qasm_file, capsys, monkeypatch):
-    monkeypatch.setenv("QDD_GC_THRESHOLD", "0.1")
+def test_gc_capacity_option(qasm_file, capsys):
     code, report = run_json(capsys, [
         "simulate", qasm_file(LEADING), "--gc-capacity", "4",
     ])
     assert code == 0 and report["gc_runs"] >= 1
-    monkeypatch.setenv("QDD_GC_THRESHOLD", "not-a-number")
-    assert main(["simulate", qasm_file(LEADING)]) == 1
-    capsys.readouterr()
-    # settings that made the collector double its capacity without end
-    monkeypatch.setenv("QDD_GC_THRESHOLD", "0")
-    assert main(["simulate", qasm_file(LEADING), "--gc-capacity", "2"]) == 1
-    assert capsys.readouterr().err.startswith("error: gc_ratio")
-    assert main(["bench", "wstate", "--sizes", "4"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: gc_ratio")
-    assert captured.err.count("\n") == 1, captured.err
-    monkeypatch.delenv("QDD_GC_THRESHOLD")
     assert main(["simulate", qasm_file(LEADING), "--gc-capacity", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: gc_capacity")
 

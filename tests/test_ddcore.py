@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qddsim import (
+    Circuit,
     GateInstance,
     dense_simulate,
     gen_grover,
@@ -58,11 +59,10 @@ def test_store_validation():
         DDStore(mode="limdd", norm_rule="l2", policy=CoeffPolicy("float", 1e-12))
     DDStore(mode="evdd", norm_rule="l2", policy=CoeffPolicy("float", 1e-12))
     # settings under which maybe_collect would double the capacity forever
-    for kwargs in ({"gc_capacity": 0}, {"gc_capacity": -3}, {"gc_ratio": 0.0},
-                   {"gc_ratio": -0.5}, {"gc_ratio": float("nan")}):
+    for kwargs in ({"gc_capacity": 0}, {"gc_capacity": -3}):
         with pytest.raises(ValueError):
             DDStore(**kwargs)
-    DDStore(gc_capacity=1, gc_ratio=1e-9)
+    DDStore(gc_capacity=1)
 
 
 def test_zero_state_tower():
@@ -363,6 +363,17 @@ def test_eval_amplitude_against_vector():
             assert state.amplitude(idx) == dense[idx]
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_amplitude_index_outside_the_register_raises(mode, backend):
+    bell = Circuit(2, (GateInstance("h", (0,)), GateInstance("cx", (0, 1))))
+    state, _ = simulate(bell, policy=CoeffPolicy(backend), mode=mode)
+    assert state.amplitude(0) == state.amplitude(3) != state.amplitude(1)
+    for index in (-1, 4, -4, 1 << 70):
+        with pytest.raises(ValueError):
+            state.amplitude(index)
+
+
 def test_follow_below_terminal_raises():
     store = fresh()
     with pytest.raises(DiagramError):
@@ -610,8 +621,6 @@ def test_identity_circuits_restore_root():
             [GateInstance("cx", (0, 2))] * 2,
             [GateInstance("swap", (0, 1))] * 2,
         ):
-            from qddsim import Circuit
-
             circ = Circuit(3, base.gates + tuple(tail))
             s1, _ = simulate(circ, mode=mode, store=store)
             assert s1.root == s0.root  # identical node and label
@@ -684,7 +693,7 @@ def test_gc_then_rebuild_is_consistent():
 
 
 def test_maybe_collect_triggers_and_grows_capacity():
-    store = fresh("limdd", gc_capacity=8, gc_ratio=0.5)
+    store = fresh("limdd", gc_capacity=8)
     roots = []
     state, _ = simulate(gen_random(4, 25, seed=77, max_t=4), mode="limdd", store=store)
     roots.append(state.root)

@@ -1,15 +1,18 @@
 """Gate compilation, primitive application, and the circuit driver."""
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from qddsim import (
     Circuit,
     GateInstance,
+    StabilizerTableau,
     dense_simulate,
     gen_grover,
     gen_random,
@@ -195,17 +198,32 @@ def test_phase_gate_power_identities():
     assert e == base
 
 
-def test_apply_gate_rejects_composites_and_bad_bits():
-    store = DDStore()
-    root = store.zero_state(2)
-    with pytest.raises(ValueError):
-        apply_gate(store, root, "cx", (0, 1))
-    with pytest.raises(ValueError):
-        apply_gate(store, root, "ccx", (0, 1))
-    with pytest.raises(ValueError):
-        apply_gate(store, root, "h", (2,))
-    with pytest.raises(ValueError):
-        apply_gate(store, root, "h", (-1,))
+MALFORMED_GATES = [
+    ("rz", (0,)),  # unknown kind
+    ("t", ()), ("h", (0, 1)), ("cz", (0,)), ("ccx", (0, 1)),  # wrong arity
+    ("cz", (1, 1)), ("swap", (1, 1)), ("ccx", (0, 0, 1)),  # repeated bit
+    ("h", (3,)), ("cx", (0, 5)), ("h", (-1,)), ("swap", (-1, 0)),  # out of range
+]
+
+
+def test_both_apply_gate_entry_points_share_one_contract():
+    """The diagram, in both modes, and the tableau reject the same malformed
+    gates, and the diagram applies cx and ccx as the operation ``simulate``
+    makes of them."""
+    for kind, bits in MALFORMED_GATES:
+        with pytest.raises(ValueError):
+            StabilizerTableau(3).apply_gate(kind, bits)
+    for mode in ("limdd", "evdd"):
+        store = DDStore(mode=mode)
+        root = _random_root(store, seed=5)
+        for kind, bits in MALFORMED_GATES:
+            with pytest.raises(ValueError):
+                apply_gate(store, root, kind, bits)
+        for kind in ("cx", "ccx"):
+            for bits in itertools.permutations(range(3), GATE_ARITY[kind]):
+                gate = GateInstance(kind, tuple(2 - b for b in bits))
+                ((_, op),) = gates._operations((gate,), 3, mode == "limdd", False)
+                assert apply_gate(store, root, kind, bits) == _apply(store, root, op)
 
 
 # -- native cx, swap and projection ----------------------------------------
@@ -242,10 +260,7 @@ def test_native_cx_and_swap_match_compiled(mode):
     for n, root in _entangled_states(store, 10, seed=4411):
         for a, b in itertools.permutations(range(n), 2):
             for kind in ("cx", "swap"):
-                if kind == "cx":
-                    native = _apply(store, root, ("cx", (a, b), 0))
-                else:
-                    native = apply_gate(store, root, "swap", (a, b))
+                native = apply_gate(store, root, kind, (a, b))
                 ref = compiled_cx_or_swap(store, root, kind, (a, b))
                 assert native.node is ref.node, (kind, a, b)
                 assert store.to_vector(native) == store.to_vector(ref)
@@ -255,16 +270,8 @@ def test_native_cx_and_swap_match_compiled(mode):
 def ccx_network(store: DDStore, edge, bits: tuple[int, int, int]):
     """Reference: ccx written out as its 15 native gates (h, t, tdg, cx)."""
     for kind, idx in gates._CCX_NETWORK:
-        b = tuple(bits[i] for i in idx)
-        if kind == "cx":
-            edge = _apply(store, edge, ("cx", b, 0))
-        else:
-            edge = apply_gate(store, edge, kind, b)
+        edge = apply_gate(store, edge, kind, tuple(bits[i] for i in idx))
     return edge
-
-
-def _native_ccx(store: DDStore, edge, a: int, b: int, t: int):
-    return _apply(store, edge, ("ccx", (max(a, b), min(a, b), t), 0))
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
@@ -291,7 +298,7 @@ def test_native_ccx_matches_network(monkeypatch, mode, backend):
     for n, root in _entangled_states(store, 12, seed=6607):
         for a, b, t in itertools.permutations(range(n), 3):
             triples += 1
-            native = _native_ccx(store, root, a, b, t)
+            native = apply_gate(store, root, "ccx", (a, b, t))
             ref = ccx_network(store, root, (a, b, t))
             if backend == "exact":
                 assert native.node is ref.node, (a, b, t)
@@ -374,10 +381,21 @@ def test_project_matches_dense(mode):
             store.check_invariants(proj)
 
 
+def _tracer_gate_groups() -> dict:
+    """``GATE_GROUPS`` of the benchmark's tracer, read without installing it."""
+    pytest.importorskip("numpy")
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GATE_GROUPS
+
+
 def test_only_traced_kinds_reach_apply_gate(monkeypatch):
-    """cx and ccx never pass through ``apply_gate``, and measurement never
-    calls it: a tracer that names each ``apply_gate`` call after its kind
-    knows only the primitive kinds."""
+    """``simulate`` hands ``apply_gate`` no run, cx or ccx, with or without
+    per-gate checks, and measurement never calls it: the benchmark's tracer
+    names each ``apply_gate`` call after its kind from ``GATE_GROUPS``."""
+    groups = _tracer_gate_groups()
     real = gates.apply_gate
     seen: list[str] = []
 
@@ -394,6 +412,7 @@ def test_only_traced_kinds_reach_apply_gate(monkeypatch):
         ("cx", (3, 1)), ("swap", (3, 0)), ("ccx", (3, 1, 2)),
     ]))
     for mode in ("limdd", "evdd"):
+        simulate(circ, mode=mode, check_bounds=True)  # unfused
         for backend in ("exact", "float"):
             state, _ = simulate(circ, policy=CoeffPolicy(backend), mode=mode)
             for q in range(4):
@@ -404,7 +423,7 @@ def test_only_traced_kinds_reach_apply_gate(monkeypatch):
                     collapse(state, q, sample(state, q, rng=q))
                     measure_qubit(state, q, rng=q)
     assert seen
-    assert set(seen) <= {"h", "t", "tdg", "s", "sdg", "x", "y", "z", "cz", "swap"}
+    assert set(seen) <= set(groups)
 
 
 # -- driver stats ----------------------------------------------------------
@@ -463,9 +482,9 @@ def test_gc_kwargs_respected():
         for q in range(4)
         for k in ("h", "t", "h", "t", "h")
     ))
-    _, run = simulate(circ, store=DDStore(gc_capacity=8, gc_ratio=0.5))
+    _, run = simulate(circ, store=DDStore(gc_capacity=8))
     assert run.gc_runs >= 1
-    for kwargs in ({"gc_capacity": -3}, {"gc_capacity": 0}, {"gc_ratio": 0.0}):
+    for kwargs in ({"gc_capacity": -3}, {"gc_capacity": 0}):
         with pytest.raises(ValueError):
             simulate(circ, store=DDStore(**kwargs))
 
