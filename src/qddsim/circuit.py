@@ -13,9 +13,11 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from numbers import Integral
 
 from .coeff import INV_SQRT2, ONE, ZERO, RingValue, omega_power
 from .gates import GATE_ARITY, GateCounts, GateInstance, count_gates
+from .stabtrack import gate_support
 
 
 class QasmParseError(Exception):
@@ -36,12 +38,11 @@ class Circuit:
         if self.n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         for g in self.gates:
-            for q in g.qubits:
-                if not 0 <= q < self.n_qubits:
-                    raise ValueError(f"gate qubit {q} out of range")
-        for q, _ in self.measurements:
-            if not 0 <= q < self.n_qubits:
-                raise ValueError(f"measured qubit {q} out of range")
+            gate_support(g.kind, g.qubits, self.n_qubits)
+        for q, c in self.measurements:
+            gate_support("z", (q,), self.n_qubits)  # valid where a one-qubit gate is
+            if not isinstance(c, Integral) or c < 0:
+                raise ValueError(f"classical bit {c!r} is not a non-negative integer")
 
     def counts(self) -> GateCounts:
         return count_gates(self.gates)

@@ -33,6 +33,7 @@ x, high z, high node id)``, with the backend's ``key`` of each factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Iterable, NamedTuple
 
 from .coeff import CoeffPolicy, ScalarOps, bit_size, scalar_ops
@@ -424,8 +425,8 @@ class DDStore:
     def eval_amplitude(self, edge: Edge, index: int) -> object:
         """Amplitude of one basis state; bit k-1 of the index is qubit k."""
         n = edge.lim.string.n
-        if not 0 <= index < 1 << n:
-            raise ValueError(f"basis index {index} out of range for {n} qubits")
+        if not (isinstance(index, Integral) and 0 <= index < 1 << n):
+            raise ValueError(f"basis index {index!r} is not an integer in [0, 2**{n})")
         cur = edge
         for m in range(n, 0, -1):
             cur = self.follow(cur, (index >> (m - 1)) & 1)

@@ -42,6 +42,7 @@ by the value of the lower bits through projections.
 """
 from __future__ import annotations
 
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -61,26 +62,19 @@ from .pauli import (
     row_mul,
     times_i,
 )
-from .stabtrack import _CCX_NETWORK, GATE_ARITY, BoundReport, t_weight, track
+from .stabtrack import _CCX_NETWORK, GATE_ARITY, GATE_COUNTS, BoundReport, gate_support, track
 
 
 @dataclass(frozen=True)
 class GateInstance:
-    """One named gate on register indices (index 0 is the top qubit)."""
+    """One named gate on register indices (index 0 is the top qubit); a
+    ``Circuit`` bounds the indices by its register."""
 
     kind: str
     qubits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        arity = GATE_ARITY.get(self.kind)
-        if arity is None:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != arity:
-            raise ValueError(
-                f"{self.kind} expects {arity} qubit(s), got {len(self.qubits)}"
-            )
-        if arity > 1 and len(set(self.qubits)) != arity:
-            raise ValueError(f"{self.kind} qubits must be distinct")
+        gate_support(self.kind, self.qubits, sys.maxsize)
 
 
 PRIMITIVE_KINDS = frozenset(
@@ -106,12 +100,10 @@ def compile_gate(gate: GateInstance) -> tuple[GateInstance, ...]:
             GateInstance("cz", (c, t)),
             GateInstance("h", (t,)),
         )
-    if gate.kind == "ccx":
-        q = gate.qubits
-        return compile_sequence(
-            GateInstance(kind, tuple(q[i] for i in idx)) for kind, idx in _CCX_NETWORK
-        )
-    raise ValueError(f"cannot compile gate kind {gate.kind!r}")
+    q = gate.qubits  # ccx, the one kind left that a GateInstance can hold
+    return compile_sequence(
+        GateInstance(kind, tuple(q[i] for i in idx)) for kind, idx in _CCX_NETWORK
+    )
 
 
 def compile_sequence(gates: Iterable[GateInstance]) -> tuple[GateInstance, ...]:
@@ -121,19 +113,11 @@ def compile_sequence(gates: Iterable[GateInstance]) -> tuple[GateInstance, ...]:
     return tuple(out)
 
 
-# Each kind's share (total, t, h, cz) of the compiled primitive set.
-_COUNTS = {kind: (1, 0, 0, 0) for kind in GATE_ARITY}
-_COUNTS.update(
-    t=(1, 1, 0, 0), tdg=(1, 1, 0, 0), h=(1, 0, 1, 0), cz=(1, 0, 0, 1),
-    cx=(3, 0, 2, 1), ccx=(27, 7, 14, 6),
-)
-
-
 def count_gates(gates: Iterable[GateInstance]) -> GateCounts:
     """Counts of the compiled primitive set; compiled or raw gates give the
     same counts."""
     kinds = Counter(g.kind for g in gates)
-    return GateCounts(*(sum(_COUNTS[k][i] * m for k, m in kinds.items()) for i in range(4)))
+    return GateCounts(*(sum(GATE_COUNTS[k][i] * m for k, m in kinds.items()) for i in range(4)))
 
 
 # -- application internals -------------------------------------------------
@@ -143,12 +127,6 @@ def _scale_edge(store: DDStore, scalar: object, edge: Edge) -> Edge:
     if store.is_zero(edge):
         return edge
     return Edge(lim_scale(store.ops, scalar, edge.lim), edge.node)
-
-
-def _check_bits(n: int, bits: tuple[int, ...]) -> None:
-    for b in bits:
-        if not 0 <= b < n:
-            raise ValueError(f"gate bit {b} out of range for {n} qubits")
 
 
 def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
@@ -345,10 +323,11 @@ _STEP.update((kind, ("diag", p)) for kind, p in DIAG_OCTANT.items())
 
 def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> Edge:
     """Apply one gate of the set as the one operation ``_operations`` makes
-    of it; ``bits`` are internal positions (top = n-1)."""
-    n = edge.lim.string.n
-    gate = GateInstance(kind, tuple(n - 1 - b for b in bits))
-    _, op = next(_operations((gate,), n, store.mode == "limdd", False))
+    of it; ``bits`` are internal positions (top = n-1).  A gate that fails
+    ``gate_support`` raises ``ValueError``: the kind must be known and take
+    as many distinct integer positions in [0, n) as ``bits`` holds."""
+    gate = (kind, tuple(bits))
+    _, op = next(_operations((gate,), edge.lim.string.n, store.mode == "limdd", False))
     if op[0] in ("x", "y", "z"):  # limdd
         return _apply_pauli(store, edge, kind, op[1][0])
     return _apply(store, edge, op)
@@ -358,19 +337,19 @@ def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> 
 
 
 def _operations(gates, n: int, limdd: bool, fuse: bool):
-    """The circuit as top-level operations ``(i, (kind, bits, arg))``, i
-    being the index of the operation's last gate.  With ``fuse``, each
-    maximal run of adjacent single-qubit gates on one qubit is one ``run``
-    (limdd Paulis are label multiplies and end it); adjacent diag steps add
-    their octants, and a run whose steps cancel is left out.  Otherwise
-    every single-qubit gate is a run of its own.  The other kinds keep their
-    gate name, and cz, swap and ccx take the higher of their first two bits
-    first."""
+    """The gates, ``(kind, bits)`` pairs on internal positions that must
+    pass ``gate_support``, as top-level operations ``(i, (kind, bits,
+    arg))``, i being the index of the operation's last gate.  With ``fuse``,
+    each maximal run of adjacent single-qubit gates on one qubit is one
+    ``run`` (limdd Paulis are label multiplies and end it); adjacent diag
+    steps add their octants, and a run whose steps cancel is left out.
+    Otherwise every single-qubit gate is a run of its own.  The other kinds
+    keep their gate name, and cz, swap and ccx take the higher of their
+    first two bits first."""
     run_bit, steps, last = None, [], -1
-    for i, gate in enumerate(gates):
-        bits = tuple(n - 1 - q for q in gate.qubits)
-        _check_bits(n, bits)
-        step = None if limdd and gate.kind in ("x", "y", "z") else _STEP.get(gate.kind)
+    for i, (kind, bits) in enumerate(gates):
+        gate_support(kind, bits, n)
+        step = None if limdd and kind in ("x", "y", "z") else _STEP.get(kind)
         if step is not None and fuse and bits[0] == run_bit:
             if step[0] == "diag" and steps and steps[-1][0] == "diag":
                 p = (steps.pop()[1] + step[1]) % 8
@@ -385,10 +364,10 @@ def _operations(gates, n: int, limdd: bool, fuse: bool):
         run_bit, steps, last = None, [], i
         if step is not None:
             run_bit, steps = bits[0], [step]
-        elif gate.kind in ("cz", "swap", "ccx"):
-            yield i, (gate.kind, (max(bits[:2]), min(bits[:2])) + bits[2:], 0)
+        elif kind in ("cz", "swap", "ccx"):
+            yield i, (kind, (max(bits[:2]), min(bits[:2])) + bits[2:], 0)
         else:
-            yield i, (gate.kind, bits, 0)
+            yield i, (kind, bits, 0)
     if steps:
         yield last, ("run", (run_bit,), tuple(steps))
 
@@ -483,7 +462,8 @@ def simulate(
     t_seen = ops_applied = 0
     limdd = store.mode == "limdd"
     fuse = not (check_coeffs or check_bounds)
-    for i, op in _operations(circuit.gates, n, limdd, fuse):
+    gates = ((g.kind, tuple(n - 1 - q for q in g.qubits)) for g in circuit.gates)
+    for i, op in _operations(gates, n, limdd, fuse):
         kind, bits, _ = op
         if kind in PRIMITIVE_KINDS:  # cz, swap and the limdd Paulis
             root = apply_gate(store, root, kind, bits)
@@ -497,7 +477,7 @@ def simulate(
             if width > 1 << (nullity if limdd else local_nullity):
                 bound_ok = False
         if coeff_ok is True:  # unfused, so the operation is gate i
-            t_seen += t_weight(circuit.gates[i].kind)
+            t_seen += GATE_COUNTS[circuit.gates[i].kind][1]
             coeff_ok = verify_coeff_bound(store, root, n, t_seen)
         store.clear_op_caches()
         store.maybe_collect([root])

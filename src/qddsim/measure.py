@@ -19,6 +19,7 @@ from .coeff import RingValue, real_decimal
 from .ddcore import DDStore, Edge, State
 from .gates import project
 from .pauli import lim_scale
+from .stabtrack import gate_support
 
 
 class ZeroStateError(Exception):
@@ -66,16 +67,17 @@ def _split_snorm(store: DDStore, edge: Edge, bit: int, memo: dict) -> tuple:
     return ops.mul(w, s0), ops.mul(w, s1)
 
 
-def _check_qubit(state: State, qubit: int) -> None:
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
+def _bit(state: State, qubit: int) -> int:
+    """The qubit's internal bit; the qubit must be valid where a one-qubit
+    gate is (``gate_support``)."""
+    gate_support("z", (qubit,), state.n_qubits)
+    return state.n_qubits - 1 - qubit
 
 
 def measurement_probability(state: State, qubit: int = 0) -> object:
     """Probability that the qubit reads 0; exact ring value or float."""
-    _check_qubit(state, qubit)
     ops = state.store.ops
-    s0, s1 = _split_snorm(state.store, state.root, state.n_qubits - 1 - qubit, {})
+    s0, s1 = _split_snorm(state.store, state.root, _bit(state, qubit), {})
     total = ops.add(s0, s1)
     if ops.is_zero(total):
         raise ZeroStateError("cannot measure a zero state")
@@ -117,11 +119,11 @@ def collapse(state: State, qubit: int, outcome: int) -> State:
         )
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    _check_qubit(state, qubit)
+    bit = _bit(state, qubit)
     total = squared_norm(store, state.root)
     if store.ops.is_zero(total):
         raise ZeroStateError("cannot measure a zero state")
-    kept = project(store, state.root, state.n_qubits - 1 - qubit, outcome)
+    kept = project(store, state.root, bit, outcome)
     p = squared_norm(store, kept)
     if store.ops.is_zero(p):
         raise ZeroStateError(f"outcome {outcome} has zero probability")

@@ -179,11 +179,6 @@ class PauliLIM(NamedTuple):
     def is_identity_lim(self, ops: ScalarOps) -> bool:
         return self.string.is_identity() and ops.eq(self.factor, ops.one)
 
-    def render(self, ops: ScalarOps) -> str:
-        if ops.backend == "exact":
-            return f"({self.factor}) * {self.string.render()}"
-        return f"({complex(self.factor)}) * {self.string.render()}"
-
 
 def lim_mul(ops: ScalarOps, l1: PauliLIM, l2: PauliLIM) -> PauliLIM:
     """Operator product; the string multiplies by XOR, the factor picks up

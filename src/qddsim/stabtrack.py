@@ -46,6 +46,31 @@ GATE_ARITY = {
     "ccx": 3,
 }
 
+
+def gate_support(kind: str, bits: tuple[int, ...], n: int) -> int:
+    """The support mask of a well-formed gate: a known kind on as many
+    distinct integer positions as that kind takes, each in [0, n).  Register
+    indices and internal bits pass or fail alike.  Raises ``ValueError`` for
+    anything else."""
+    arity = GATE_ARITY.get(kind)
+    if arity is None:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    support = 0
+    try:
+        for bit in bits:
+            if bit >= n:  # tested before the shift, which a huge bit would make costly
+                break
+            support |= 1 << bit  # a negative bit raises ValueError, a non-integer TypeError
+        else:
+            if support.bit_count() == len(bits) == arity:
+                return support
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(
+        f"{kind} takes {arity} distinct integer position(s) in [0, {n}), got {bits!r}"
+    )
+
+
 _CLIFFORD_KINDS = frozenset({"h", "s", "sdg", "x", "y", "z", "cz", "cx", "swap"})
 
 # ccx(a, b, t) as the standard seven-T network; indices pick from (a, b, t).
@@ -53,6 +78,14 @@ _CCX_NETWORK = (
     ("h", (2,)), ("cx", (1, 2)), ("tdg", (2,)), ("cx", (0, 2)), ("t", (2,)),
     ("cx", (1, 2)), ("tdg", (2,)), ("cx", (0, 2)), ("t", (1,)), ("t", (2,)),
     ("cx", (0, 1)), ("h", (2,)), ("t", (0,)), ("tdg", (1,)), ("cx", (0, 1)),
+)
+
+# Each kind's share (total, t, h, cz) of the primitive set that
+# ``gates.compile_gate`` expands it into: cx as h-cz-h, ccx as the network.
+GATE_COUNTS = {kind: (1, 0, 0, 0) for kind in GATE_ARITY}
+GATE_COUNTS.update(
+    t=(1, 1, 0, 0), tdg=(1, 1, 0, 0), h=(1, 0, 1, 0), cz=(1, 0, 0, 1),
+    cx=(3, 0, 2, 1), ccx=(27, 7, 14, 6),
 )
 
 
@@ -92,17 +125,10 @@ class StabilizerTableau:
 
     def apply_gate(self, kind: str, bits: tuple[int, ...]) -> int:
         """Update for one gate on internal bit positions; returns how many
-        rows were dropped.  The gate must name a known kind and as many
-        distinct bits in range as that kind takes (a negative bit fails the
-        shift that builds the support mask)."""
-        arity = GATE_ARITY.get(kind)
-        if arity is None:
-            raise ValueError(f"unknown gate kind {kind!r}")
-        support = 0
-        for bit in bits:
-            support |= 1 << bit
-        if support >> self.n or support.bit_count() != arity or len(bits) != arity:
-            raise ValueError(f"{kind} takes {arity} distinct bit(s) below {self.n}, got {bits}")
+        rows were dropped.  A gate that fails ``gate_support`` raises
+        ``ValueError``: the kind must be known and take as many distinct
+        integer bits in [0, n) as ``bits`` holds."""
+        support = gate_support(kind, bits, self.n)
         if kind in _CLIFFORD_KINDS:
             rows: list[Row] = []
             for row in self._rows:  # a row off the support conjugates to itself
@@ -224,14 +250,6 @@ class BoundReport(NamedTuple):
     per_gate: tuple[tuple[int, int], ...]  # (nullity, local nullity) after each gate
 
 
-def t_weight(kind: str) -> int:
-    if kind in ("t", "tdg"):
-        return 1
-    if kind == "ccx":
-        return 7
-    return 0
-
-
 def track(circuit, native_ccx: bool = True) -> BoundReport:
     """Run the tableau over a circuit and report width ceilings.
 
@@ -252,7 +270,7 @@ def track(circuit, native_ccx: bool = True) -> BoundReport:
                 dropped += tab.apply_gate(kind, tuple(bits[i] for i in idx))
         else:
             dropped += tab.apply_gate(gate.kind, bits)
-        t_count += t_weight(gate.kind)
+        t_count += GATE_COUNTS[gate.kind][1]
         trace.append((tab.nullity(), tab.local_nullity()))
     nullity = tab.nullity()
     local = tab.local_nullity()

@@ -17,6 +17,14 @@ def random_ring(rng: random.Random, max_num: int = 8, max_den: int = 8) -> RingV
     return RingValue(frac(), frac(), frac(), frac())
 
 
+def dyadic_ring(rng: random.Random, max_num: int = 64, max_exp: int = 6) -> RingValue:
+    # the simulator only ever produces power-of-two denominators
+    def frac() -> Fraction:
+        return Fraction(rng.randint(-max_num, max_num), 1 << rng.randint(0, max_exp))
+
+    return RingValue(frac(), frac(), frac(), frac())
+
+
 def random_corpus(
     count: int,
     *,

@@ -41,7 +41,7 @@ from qddsim.gates import (
 from qddsim.measure import measurement_probability
 from qddsim.stabtrack import StabilizerTableau, track
 
-from conftest import LEADING, MOTIVATING, random_corpus
+from conftest import LEADING, MOTIVATING, dyadic_ring, random_corpus
 from test_stabtrack import apply_row, local_nullity_oracle, run_tableau
 
 
@@ -361,13 +361,6 @@ def test_c10_single_excitation_state_scales_linearly():
     ))
 
 
-def _dyadic_ring(rng: random.Random, max_num: int = 64, max_exp: int = 6) -> RingValue:
-    def frac() -> F:
-        return F(rng.randint(-max_num, max_num), 1 << rng.randint(0, max_exp))
-
-    return RingValue(frac(), frac(), frac(), frac())
-
-
 def test_c11_ring_arithmetic_property_suite():
     t0 = time.perf_counter()
     rng = random.Random(515253)
@@ -376,8 +369,8 @@ def test_c11_ring_arithmetic_property_suite():
     assert omega_power(2) == RingValue(0, 0, 1)
     bad = 0
     for _ in range(10_000):
-        a = _dyadic_ring(rng)
-        b = _dyadic_ring(rng)
+        a = dyadic_ring(rng)
+        b = dyadic_ring(rng)
         c = a - b
         laws = (
             a + b == b + a

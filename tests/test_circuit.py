@@ -36,6 +36,9 @@ def test_circuit_validation():
         Circuit(2, (GateInstance("h", (2,)),))
     with pytest.raises(ValueError):
         Circuit(2, (), ((3, 0),))
+    for measurement in ((0.5, 0), (1.0, 0), (0, -1), (0, 1.0), (0, "1")):
+        with pytest.raises(ValueError):
+            Circuit(2, (), (measurement,))
 
 
 def test_circuit_counts():
@@ -66,7 +69,8 @@ def test_parse_minimal_program():
 
 
 def test_parse_emit_round_trip():
-    for circ in [bell_pair(), parse_qasm(GOOD)] + random_corpus(
+    skipping = Circuit(2, (GateInstance("h", (1,)),), ((1, 3), (0, 0)))
+    for circ in [bell_pair(), parse_qasm(GOOD), skipping] + random_corpus(
         6, seed=8128, n_range=(1, 5), depth_range=(0, 20)
     ):
         assert parse_qasm(emit_qasm(circ)) == circ

@@ -33,6 +33,8 @@ from qddsim.coeff import (
     within_coeff_bound,
 )
 
+from conftest import dyadic_ring
+
 fractions_st = st.fractions(
     min_value=-8, max_value=8, max_denominator=8
 )
@@ -280,14 +282,6 @@ def test_canonical_independent_of_operation_order(x, y, z):
     assert left == right
     assert hash(left) == hash(right)
     assert render(left) == render(right)
-
-
-def dyadic_ring(rng: random.Random, max_num: int = 64, max_exp: int = 6) -> RingValue:
-    # the simulator only ever produces power-of-two denominators
-    def frac() -> F:
-        return F(rng.randint(-max_num, max_num), 1 << rng.randint(0, max_exp))
-
-    return RingValue(frac(), frac(), frac(), frac())
 
 
 def test_single_operation_growth_bound():

@@ -369,7 +369,7 @@ def test_amplitude_index_outside_the_register_raises(mode, backend):
     bell = Circuit(2, (GateInstance("h", (0,)), GateInstance("cx", (0, 1))))
     state, _ = simulate(bell, policy=CoeffPolicy(backend), mode=mode)
     assert state.amplitude(0) == state.amplitude(3) != state.amplitude(1)
-    for index in (-1, 4, -4, 1 << 70):
+    for index in (-1, 4, -4, 1 << 70, 2.0, 0.5, "1"):
         with pytest.raises(ValueError):
             state.amplitude(index)
 

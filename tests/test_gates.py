@@ -203,16 +203,19 @@ MALFORMED_GATES = [
     ("t", ()), ("h", (0, 1)), ("cz", (0,)), ("ccx", (0, 1)),  # wrong arity
     ("cz", (1, 1)), ("swap", (1, 1)), ("ccx", (0, 0, 1)),  # repeated bit
     ("h", (3,)), ("cx", (0, 5)), ("h", (-1,)), ("swap", (-1, 0)),  # out of range
+    ("h", (0.5,)), ("h", (1.0,)), ("cz", ("1", 0)),  # not an integer
 ]
 
 
 def test_both_apply_gate_entry_points_share_one_contract():
-    """The diagram, in both modes, and the tableau reject the same malformed
-    gates, and the diagram applies cx and ccx as the operation ``simulate``
-    makes of them."""
+    """The diagram, in both modes, the tableau and a 3-qubit circuit's gates
+    reject the same malformed gates, and the diagram applies cx and ccx as
+    the operation ``simulate`` makes of them."""
     for kind, bits in MALFORMED_GATES:
         with pytest.raises(ValueError):
             StabilizerTableau(3).apply_gate(kind, bits)
+        with pytest.raises(ValueError):  # GateInstance raises unless only the range is wrong
+            Circuit(3, (GateInstance(kind, bits),))
     for mode in ("limdd", "evdd"):
         store = DDStore(mode=mode)
         root = _random_root(store, seed=5)
@@ -221,8 +224,7 @@ def test_both_apply_gate_entry_points_share_one_contract():
                 apply_gate(store, root, kind, bits)
         for kind in ("cx", "ccx"):
             for bits in itertools.permutations(range(3), GATE_ARITY[kind]):
-                gate = GateInstance(kind, tuple(2 - b for b in bits))
-                ((_, op),) = gates._operations((gate,), 3, mode == "limdd", False)
+                ((_, op),) = gates._operations(((kind, bits),), 3, mode == "limdd", False)
                 assert apply_gate(store, root, kind, bits) == _apply(store, root, op)
 
 

@@ -46,11 +46,17 @@ def test_bell_pair_probability():
 
 
 def test_qubit_out_of_range():
-    state, _ = simulate(gen_wstate(2))
-    with pytest.raises(ValueError):
-        measurement_probability(state, 2)
-    with pytest.raises(ValueError):
-        measurement_probability(state, -1)
+    """A measured qubit must be an integer index into the register."""
+    exact, _ = simulate(gen_wstate(2))
+    floating, _ = simulate(gen_wstate(2), policy=CoeffPolicy("float"))
+    for qubit in (2, -1, 1.5, 1.0, "1"):
+        for state in (exact, floating):
+            with pytest.raises(ValueError):
+                measurement_probability(state, qubit)
+            with pytest.raises(ValueError):
+                sample_counts(state, qubit, shots=4, rng=0)
+        with pytest.raises(ValueError):
+            collapse(floating, qubit, 0)
 
 
 def test_zero_state_raises():
