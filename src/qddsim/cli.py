@@ -21,7 +21,7 @@ from .circuit import (
     parse_qasm,
 )
 from .coeff import CoeffPolicy, RingValue, render
-from .ddcore import DDStore, State
+from .ddcore import GC_CAPACITY, DDStore, State
 from .gates import RunStats, simulate
 from .measure import (
     ZeroStateError,
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--check-bounds", action="store_true")
     sim.add_argument("--stats", default=None, help="also write the JSON report here")
     sim.add_argument("--dot", default=None, help="write the final diagram as Graphviz")
-    sim.add_argument("--gc-capacity", type=int, default=None)
+    sim.add_argument("--gc-capacity", type=int, default=GC_CAPACITY)
     sim.set_defaults(func=cmd_simulate)
 
     bnd = sub.add_parser("bounds", help="stabilizer-tableau width ceilings")
@@ -113,19 +113,14 @@ def _bound_json(report: BoundReport, native_ccx: bool) -> dict:
 
 def _run_report(
     circuit: Circuit,
+    store: DDStore,
     *,
-    backend: str,
-    policy: CoeffPolicy,
-    norm_rule: str = "low",
     qubit: int = 0,
     shots: int = 0,
     seed: int | None = None,
     check_coeffs: bool = False,
     check_bounds: bool = False,
-    gc_capacity: int | None = None,
 ) -> tuple[State, RunStats, dict]:
-    gc = {} if gc_capacity is None else {"gc_capacity": gc_capacity}
-    store = DDStore(policy, backend, norm_rule, **gc)
     state, run = simulate(
         circuit, check_coeffs=check_coeffs, check_bounds=check_bounds, store=store
     )
@@ -136,11 +131,11 @@ def _run_report(
         samples = {"shots": shots, "zeros": zeros, "ones": ones, "seed": seed}
     checks = {"coeff_bound": run.coeff_check, "width_bound": run.bound_check}
     report = {
-        "mode": backend,
+        "mode": store.mode,
         "policy": {
-            "coeffs": policy.backend,
-            "tolerance": policy.tolerance,
-            "norm_rule": norm_rule,
+            "coeffs": store.policy.backend,
+            "tolerance": store.policy.tolerance,
+            "norm_rule": store.norm_rule,
         },
         "circuit": {
             "n_qubits": circuit.n_qubits,
@@ -223,18 +218,16 @@ def cmd_simulate(args) -> int:
     circuit = parse_qasm(_read_text(args.qasm))
     if not 0 <= args.qubit < circuit.n_qubits:
         raise _UsageError(f"--qubit {args.qubit} out of range")
+    # an explicit tolerance is forwarded so exact + nonzero is rejected
+    policy = CoeffPolicy(args.coeffs, args.tolerance)
     state, _, report = _run_report(
         circuit,
-        backend=args.backend,
-        # an explicit tolerance is forwarded so exact + nonzero is rejected
-        policy=CoeffPolicy(args.coeffs, args.tolerance),
-        norm_rule=args.norm_rule,
+        DDStore(policy, args.backend, args.norm_rule, args.gc_capacity),
         qubit=args.qubit,
         shots=args.shots,
         seed=args.seed,
         check_coeffs=args.check_coeffs,
         check_bounds=args.check_bounds,
-        gc_capacity=args.gc_capacity,
     )
     text = json.dumps(report, sort_keys=True, indent=2)
     print(text)
@@ -262,7 +255,7 @@ def _exact_and_float(circuit: Circuit, args) -> list[dict]:
         (CoeffPolicy("float", args.tolerance), args.norm_rule),
     )
     return [
-        _run_report(circuit, backend=args.backend, policy=policy, norm_rule=rule)[2]
+        _run_report(circuit, DDStore(policy, args.backend, rule))[2]
         for policy, rule in runs
     ]
 

@@ -2,7 +2,8 @@
 
 Two diagram flavors share one node store.  In ``evdd`` mode every edge label
 is a plain scalar (the Pauli string is always identity) and a node is
-normalized by dividing out the low edge's weight.  In ``limdd`` mode labels
+normalized by its low edge's weight, or on the float backend by its high
+edge's when the low one may be rounding noise.  In ``limdd`` mode labels
 are scalar-weighted Pauli strings; a node keeps an identity label on its low
 edge and a canonical label on its high edge, chosen as the minimum over the
 freedom the children's stabilizer groups allow, so states that differ only
@@ -85,6 +86,10 @@ class DiagramStats(NamedTuple):
     max_coeff_bits: int  # exact backend only; 0 for float
 
 
+GC_CAPACITY = 1 << 16  # table size, terminal included, that starts a collection
+SMALL_LOW = 1e-6  # the float low rule distrusts a low weight below this share of the high
+
+
 def _lift(lim: PauliLIM, n: int) -> PauliLIM:
     """Pad a label with identity on new top qubits."""
     return PauliLIM(lim.factor, PauliString(n, lim.string.x, lim.string.z))
@@ -98,7 +103,7 @@ class DDStore:
         policy: CoeffPolicy | None = None,
         mode: str = "limdd",
         norm_rule: str = "low",
-        gc_capacity: int = 1 << 16,
+        gc_capacity: int = GC_CAPACITY,
     ) -> None:
         if mode not in ("evdd", "limdd"):
             raise ValueError(f"unknown diagram mode {mode!r}")
@@ -116,6 +121,7 @@ class DDStore:
             raise ValueError("l2 normalization requires the float evdd backend")
         self.mode = mode
         self.norm_rule = norm_rule
+        self.guard_low = norm_rule == "low" and self.policy.backend == "float"
         self.terminal = Node(0, 0, None, None)
         self.unique: dict[tuple, Node] = {}
         self.next_id = 1
@@ -166,8 +172,10 @@ class DDStore:
         return (level, key(lo.factor), lo.string.x, lo.string.z, low.node.id,
                 key(hi.factor), hi.string.x, hi.string.z, high.node.id)
 
-    def _make_node(self, level: int, low: Edge, high: Edge) -> Node:
-        key = self._node_key(level, low, high)
+    def _make_node(self, level: int, low: Edge, high: Edge, key: tuple | None = None) -> Node:
+        """The stored node with these children, whose key a caller may pass."""
+        if key is None:
+            key = self._node_key(level, low, high)
         node = self.unique.get(key)
         if node is None:
             node = Node(self.next_id, level, low, high)
@@ -186,6 +194,7 @@ class DDStore:
         if high.lim.string.n != m:
             raise DiagramError("child edges are at different levels")
         lo = low.lim
+        key = None
         if (
             self.norm_rule == "low"
             and not (lo.string.x or lo.string.z)
@@ -198,7 +207,8 @@ class DDStore:
             # equality test.  The probe reads the table with dict.get, so a
             # table that instruments its own get sees only the lookups that
             # may create a node.
-            node = dict.get(self.unique, self._node_key(m + 1, low, high))
+            key = self._node_key(m + 1, low, high)
+            node = dict.get(self.unique, key)
             if node is not None and node.low == low and node.high == high:
                 return Edge(self.identity_lim(m + 1), node)
         low_zero, high_zero = self.is_zero(low), self.is_zero(high)
@@ -212,9 +222,12 @@ class DDStore:
             # |0>(high) + |1>(low), whose children are in canonical order.
             low, high, low_zero, high_zero = high, low, False, low_zero
         if high_zero:
-            edge = self._one_branch(m, low, 0)
+            # The probe's key fits only if high is the zero edge itself.
+            edge = self._one_branch(m, low, 0, key if high is self._zeros.get(m) else None)
+        elif low_zero:  # evdd: limdd swapped this case away
+            edge = self._one_branch(m, high, 1)
         elif self.mode == "evdd":
-            edge = self._make_edge_evdd(m, low, high, low_zero)
+            edge = self._make_edge_evdd(m, low, high, key)
         else:
             a_hat = lim_div(self.ops, low.lim, high.lim)
             c_hat, root_lim = self._get_labels(a_hat, low.node, high.node, low.lim)
@@ -226,8 +239,8 @@ class DDStore:
             edge = Edge(row_lim_mul(self.ops, (0, 1 << m, 0), edge.lim), edge.node)
         return edge
 
-    def _one_branch(self, m: int, edge: Edge, bit: int) -> Edge:
-        """|bit>(edge) one level up, for a nonzero edge."""
+    def _one_branch(self, m: int, edge: Edge, bit: int, key: tuple | None = None) -> Edge:
+        """|bit>(edge) one level up, for a nonzero edge; ``key`` as in ``_make_node``."""
         lim = edge.lim
         if lim.factor is self.ops.one and not (lim.string.x or lim.string.z):
             # An identity-labelled edge is its own child under an identity root.
@@ -235,15 +248,15 @@ class DDStore:
         else:
             child, root = Edge(self.identity_lim(m), edge.node), _lift(lim, m + 1)
         zero = self.zero_edge(m)
-        return Edge(root, self._make_node(m + 1, *((zero, child) if bit else (child, zero))))
+        return Edge(root, self._make_node(m + 1, *((zero, child) if bit else (child, zero)), key))
 
-    def _make_edge_evdd(self, m: int, low: Edge, high: Edge, low_zero: bool) -> Edge:
+    def _make_edge_evdd(self, m: int, low: Edge, high: Edge, key: tuple | None) -> Edge:
         # A normalized weight can read as zero on the float backend although
         # the weight it came from did not; that branch is then dropped, as
-        # a zero child would be.
+        # a zero child would be.  The float low rule divides by the high
+        # weight when the low one is below SMALL_LOW of it, as dividing by
+        # rounding noise would lose the state; the node keeps high weight one.
         ops = self.ops
-        if low_zero:
-            return self._one_branch(m, high, 1)
         a, b = low.lim.factor, high.lim.factor
         if self.norm_rule == "l2":
             norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
@@ -260,6 +273,16 @@ class DDStore:
                 Edge(PauliLIM(hi, PauliString(m, 0, 0)), high.node),
             )
             return Edge(PauliLIM(w, PauliString(m + 1, 0, 0)), node)
+        if self.guard_low and abs(a) < SMALL_LOW * abs(b):
+            c = ops.div(a, b)
+            if ops.is_zero(c):
+                return self._one_branch(m, high, 1)
+            node = self._make_node(
+                m + 1,
+                Edge(PauliLIM(c, low.lim.string), low.node),
+                Edge(self.identity_lim(m), high.node),
+            )
+            return Edge(PauliLIM(b, PauliString(m + 1, 0, 0)), node)
         c = ops.div(b, a)
         if ops.is_zero(c):
             return self._one_branch(m, low, 0)
@@ -270,7 +293,8 @@ class DDStore:
             child0 = Edge(self.identity_lim(m), low.node)
             root = PauliLIM(a, PauliString(m + 1, 0, 0))
         child1 = high if c is b else Edge(PauliLIM(c, high.lim.string), high.node)
-        return Edge(root, self._make_node(m + 1, child0, child1))
+        # The probe's key, set when a is one, fits when high is kept.
+        return Edge(root, self._make_node(m + 1, child0, child1, key if c is b else None))
 
     def _get_labels(
         self, a_hat: PauliLIM, v0: Node, v1: Node, outer: PauliLIM
@@ -540,7 +564,10 @@ class DDStore:
             if self.mode == "evdd":
                 if not low.lim.string.is_identity() or not high.lim.string.is_identity():
                     raise DiagramError(f"pauli label in evdd at node {node.id}")
-                if self.norm_rule == "low" and not ops.eq(low.lim.factor, ops.one):
+                w = low.lim.factor
+                if self.norm_rule == "low" and not ops.eq(w, ops.one) and not (
+                    self.guard_low and high.lim.factor is ops.one and abs(w) <= SMALL_LOW
+                ):
                     raise DiagramError(f"unnormalized low weight at node {node.id}")
                 continue
             if not low.lim.is_identity_lim(ops):
@@ -562,20 +589,13 @@ class DDStore:
         live = self.reachable(roots)
         live[0] = self.terminal
         dropped = len(self.unique) + 1 - len(live)
-        self.unique = {}
-        for node in live.values():
-            if node.level > 0:
-                self.unique[self._node_key(node.level, node.low, node.high)] = node
+        self.unique = {k: v for k, v in self.unique.items() if v.id in live}
         self.clear_op_caches()
-        self.stab_cache = {
-            k: v for k, v in self.stab_cache.items() if k in live
-        }
+        self.stab_cache = {k: v for k, v in self.stab_cache.items() if k in live}
         self.joint_cache = {
             k: v for k, v in self.joint_cache.items() if k[0] in live and k[1] in live
         }
-        self.snorm_cache = {
-            k: v for k, v in self.snorm_cache.items() if k in live
-        }
+        self.snorm_cache = {k: v for k, v in self.snorm_cache.items() if k in live}
         self.gc_runs += 1
         return dropped
 

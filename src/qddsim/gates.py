@@ -410,7 +410,6 @@ def simulate(
     circuit,
     policy=None,
     mode: str | None = None,
-    norm_rule: str | None = None,
     *,
     check_coeffs: bool = False,
     check_bounds: bool = False,
@@ -430,35 +429,22 @@ def simulate(
     (native ccx) predicts a width ceiling for every gate and the diagram
     width is compared against it after that gate; ``check_coeffs`` (exact
     backend only) verifies the label-size bound the same way, counting a
-    ccx as the 7 T gates of its network.  A given ``store`` supplies the
-    coefficient policy, diagram mode, normalization rule and garbage
-    collection settings, and a ``policy``, ``mode`` or ``norm_rule`` given
-    with it must match the store's; without one, a fresh store with the
-    default collector is used, in limdd mode with the low rule unless
-    ``mode`` and ``norm_rule`` say otherwise.
+    ccx as the 7 T gates of its network.  The run uses either a fresh
+    store, built from ``policy`` and ``mode`` (limdd by default) with the
+    low rule and the default collector, or the given ``store``, which then
+    carries every setting: a ``policy`` or ``mode`` given with it raises
+    ``ValueError``.
     """
     t0 = time.perf_counter()
     n = circuit.n_qubits
     if store is None:
-        store = DDStore(
-            policy,
-            "limdd" if mode is None else mode,
-            "low" if norm_rule is None else norm_rule,
-        )
-    else:
-        for name, given, have in (
-            ("policy", policy, store.policy),
-            ("mode", mode, store.mode),
-            ("norm_rule", norm_rule, store.norm_rule),
-        ):
-            if given is not None and given != have:
-                raise ValueError(f"{name} {given!r} conflicts with the store's {have!r}")
+        store = DDStore(policy, "limdd" if mode is None else mode)
+    elif policy is not None or mode is not None:
+        raise ValueError("a given store carries its own policy and mode")
     root = store.zero_state(n)
     report = track(circuit) if check_bounds else None
-    coeff_ok: bool | None = True if check_coeffs else None
+    coeff_ok: bool | None = True if check_coeffs and store.ops.backend == "exact" else None
     bound_ok: bool | None = True if check_bounds else None
-    if check_coeffs and store.ops.backend != "exact":
-        coeff_ok = None
     t_seen = ops_applied = 0
     limdd = store.mode == "limdd"
     fuse = not (check_coeffs or check_bounds)

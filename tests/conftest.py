@@ -10,13 +10,6 @@ from qddsim import Circuit, GateInstance, dense_simulate, gen_random, simulate
 from qddsim.coeff import RingValue
 
 
-def random_ring(rng: random.Random, max_num: int = 8, max_den: int = 8) -> RingValue:
-    def frac() -> Fraction:
-        return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-
-    return RingValue(frac(), frac(), frac(), frac())
-
-
 def dyadic_ring(rng: random.Random, max_num: int = 64, max_exp: int = 6) -> RingValue:
     # the simulator only ever produces power-of-two denominators
     def frac() -> Fraction:

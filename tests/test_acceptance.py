@@ -107,7 +107,7 @@ def _stepped(circ: Circuit, mode: str):
 
 def test_c01_two_qubit_interference_collapses_to_three_nodes():
     t0 = time.perf_counter()
-    state, run = simulate(MOTIVATING, mode="evdd", norm_rule="low")
+    state, run = simulate(MOTIVATING, store=DDStore(mode="evdd", norm_rule="low"))
     quotient = state.root.node.high.lim.factor
     elapsed = time.perf_counter() - t0
     ok = run.final_nodes == 3 and quotient == ZERO and elapsed < 1.0
@@ -312,7 +312,7 @@ def test_c08_diagram_matches_dense_reference(corpus_main, dense_cache):
                        - float(p0_ref.to_complex().real)) > 1e-9):
             float_bad += 1
         # the l2 rule, which only float evdd takes
-        statel2, _ = simulate(circ, policy=CoeffPolicy("float"), mode="evdd", norm_rule="l2")
+        statel2, _ = simulate(circ, store=DDStore(CoeffPolicy("float"), "evdd", "l2"))
         statel2.check()
         if max(abs(a - b) for a, b in zip(statel2.to_vector(), ref)) > 1e-12:
             float_bad += 1

@@ -139,10 +139,10 @@ def test_float_evdd_weight_read_as_zero_drops_its_branch(rule):
         return Edge(PauliLIM(w, PauliString(1, 0, 0)), node)
 
     big, tiny = 1e3 + 0j, 1e-12 + 0j
-    cases = [(weighted(big, v0), weighted(tiny, v1), 0)]
-    if rule == "l2":  # the low weight normalizes by the same norm
-        cases.append((weighted(tiny, v0), weighted(big, v1), 1))
-    for low, high, kept in cases:
+    for low, high, kept in (
+        (weighted(big, v0), weighted(tiny, v1), 0),
+        (weighted(tiny, v0), weighted(big, v1), 1),
+    ):
         e = store.make_edge(low, high)
         store.check_invariants(e)
         dropped = e.node.high if kept == 0 else e.node.low
@@ -150,6 +150,34 @@ def test_float_evdd_weight_read_as_zero_drops_its_branch(rule):
         want = (low, high)[kept]
         assert e.lim == PauliLIM(want.lim.factor, PauliString(2, 0, 0))
         assert (e.node.low, e.node.high)[kept] == Edge(store.identity_lim(1), want.node)
+
+
+def test_float_evdd_low_rule_divides_a_small_low_weight_by_the_high_one():
+    """A low weight 1e-9 of the high one may be rounding noise, so the low
+    rule divides by the high weight instead and keeps the state."""
+    store = fresh("evdd", policy=CoeffPolicy("float", 1e-14))
+    ops = store.ops
+    one = store.terminal_edge(1 + 0j)
+    v0 = store.make_edge(one, store.terminal_edge(0.5 + 0j)).node
+    v1 = store.make_edge(one, store.terminal_edge(-1 + 0j)).node
+    b = 2 - 1j
+    a = 1e-9j * b
+    e = store.make_edge(
+        Edge(PauliLIM(a, PauliString(1, 0, 0)), v0),
+        Edge(PauliLIM(b, PauliString(1, 0, 0)), v1),
+    )
+    store.check_invariants(e)
+    assert e.node.high.lim.factor is ops.one
+    assert e.node.low.lim.factor == a / b and e.lim.factor == b
+    got, want = store.to_vector(e), [a, a * 0.5, b, -b]
+    assert max(abs(u - v) for u, v in zip(got, want)) < 1e-15
+    # An exact store accepts low weight one only.
+    exact = fresh("evdd")
+    v = exact.make_edge(exact.terminal_edge(ONE), exact.terminal_edge(MINUS_ONE)).node
+    node = exact.make_edge(Edge(exact.identity_lim(1), v), Edge(exact.identity_lim(1), v)).node
+    node.low = Edge(PauliLIM(RingValue(F(1, 1 << 40)), PauliString(1, 0, 0)), v)
+    with pytest.raises(DiagramError, match="unnormalized low weight"):
+        exact.check_invariants(Edge(exact.identity_lim(2), node))
 
 
 FAST_PATH_CONFIGS = [
@@ -317,8 +345,8 @@ def test_make_edge_concatenates_subvectors(mode):
         store = fresh(mode)
         c0 = gen_random(n, rng.randint(3, 12), seed=rng.randrange(1 << 30), max_t=3)
         c1 = gen_random(n, rng.randint(3, 12), seed=rng.randrange(1 << 30), max_t=3)
-        s0, _ = simulate(c0, mode=mode, store=store)
-        s1, _ = simulate(c1, mode=mode, store=store)
+        s0, _ = simulate(c0, store=store)
+        s1, _ = simulate(c1, store=store)
         combined = store.make_edge(s0.root, s1.root)
         assert edge_vec(store, combined) == edge_vec(store, s0.root) + edge_vec(store, s1.root)
         store.check_invariants(combined)
@@ -410,8 +438,8 @@ def test_add_random_semantics(mode):
         store = fresh(mode)
         c0 = gen_random(n, rng.randint(3, 15), seed=rng.randrange(1 << 30), max_t=3)
         c1 = gen_random(n, rng.randint(3, 15), seed=rng.randrange(1 << 30), max_t=3)
-        s0, _ = simulate(c0, mode=mode, store=store)
-        s1, _ = simulate(c1, mode=mode, store=store)
+        s0, _ = simulate(c0, store=store)
+        s1, _ = simulate(c1, store=store)
         total = store.add(s0.root, s1.root)
         want = [
             a + b
@@ -425,8 +453,8 @@ def test_add_cache_transparency():
     store = fresh("limdd")
     c0 = gen_random(3, 12, seed=11, max_t=3)
     c1 = gen_random(3, 12, seed=12, max_t=3)
-    s0, _ = simulate(c0, mode="limdd", store=store)
-    s1, _ = simulate(c1, mode="limdd", store=store)
+    s0, _ = simulate(c0, store=store)
+    s1, _ = simulate(c1, store=store)
     first = store.add(s0.root, s1.root)
     store.clear_op_caches()
     second = store.add(s0.root, s1.root)
@@ -513,7 +541,7 @@ def test_stab_gens_match_brute_force(seed):
         n = rng.randint(1, 3)
         store = fresh("limdd")
         circ = gen_random(n, rng.randint(4, 18), seed=rng.randrange(1 << 30), max_t=3)
-        state, _ = simulate(circ, mode="limdd", store=store)
+        state, _ = simulate(circ, store=store)
         node = state.root.node
         if node.level == 0:
             continue
@@ -528,7 +556,7 @@ def test_cached_rows_have_distinct_descending_leads():
         for _ in range(8):
             n = rng.randint(1, 4)
             circ = gen_random(n, rng.randint(4, 20), seed=rng.randrange(1 << 30), max_t=3)
-            state, _ = simulate(circ, mode="limdd", store=store)
+            state, _ = simulate(circ, store=store)
             store.stab_gens(state.root.node)
         assert len(store.stab_cache) > 1
         nodes = {node.id: node for node in store.unique.values()}
@@ -551,7 +579,7 @@ def _group_lims(vec: list) -> list:
 def _root_node(store: DDStore, n: int, seed: int):
     # few T gates keep the stabilizer groups large
     circ = gen_random(n, 10, seed=seed, max_t=seed % 3)
-    state, _ = simulate(circ, mode="limdd", store=store)
+    state, _ = simulate(circ, store=store)
     node = state.root.node
     return node, edge_vec(store, Edge(store.identity_lim(n), node))
 
@@ -613,7 +641,7 @@ def test_identity_circuits_restore_root():
     base = gen_random(3, 14, seed=21, max_t=3)
     for mode in ("limdd", "evdd"):
         store = fresh(mode)
-        s0, _ = simulate(base, mode=mode, store=store)
+        s0, _ = simulate(base, store=store)
         for tail in (
             [GateInstance("h", (1,))] * 2,
             [GateInstance("s", (2,))] * 4,
@@ -622,7 +650,7 @@ def test_identity_circuits_restore_root():
             [GateInstance("swap", (0, 1))] * 2,
         ):
             circ = Circuit(3, base.gates + tuple(tail))
-            s1, _ = simulate(circ, mode=mode, store=store)
+            s1, _ = simulate(circ, store=store)
             assert s1.root == s0.root  # identical node and label
 
 
@@ -630,15 +658,15 @@ def test_identity_circuits_restore_root():
 def test_equal_states_intern_to_same_node(mode):
     store = fresh(mode)
     c = gen_random(3, 16, seed=99, max_t=4)
-    s0, _ = simulate(c, mode=mode, store=store)
-    s1, _ = simulate(c, mode=mode, store=store)
+    s0, _ = simulate(c, store=store)
+    s1, _ = simulate(c, store=store)
     assert s0.root == s1.root
 
 
 def test_check_invariants_rejects_corrupted_store():
     store = fresh("limdd")
     circ = gen_random(2, 10, seed=5, max_t=2)
-    state, _ = simulate(circ, mode="limdd", store=store)
+    state, _ = simulate(circ, store=store)
     node = state.root.node
     if node.level == 0:
         pytest.skip("degenerate state")
@@ -671,8 +699,8 @@ def test_gc_preserves_live_roots():
     store = fresh("limdd")
     keep_c = gen_random(3, 18, seed=31, max_t=4)
     drop_c = gen_random(3, 18, seed=32, max_t=4)
-    kept, _ = simulate(keep_c, mode="limdd", store=store)
-    dropped_state, _ = simulate(drop_c, mode="limdd", store=store)
+    kept, _ = simulate(keep_c, store=store)
+    dropped_state, _ = simulate(drop_c, store=store)
     before_vec = kept.to_vector()
     table_before = len(store.unique)
     freed = store.collect([kept.root])
@@ -686,16 +714,16 @@ def test_gc_preserves_live_roots():
 def test_gc_then_rebuild_is_consistent():
     store = fresh("limdd")
     c = gen_random(3, 15, seed=41, max_t=3)
-    s0, _ = simulate(c, mode="limdd", store=store)
+    s0, _ = simulate(c, store=store)
     store.collect([s0.root])
-    s1, _ = simulate(c, mode="limdd", store=store)
+    s1, _ = simulate(c, store=store)
     assert s0.root == s1.root
 
 
 def test_maybe_collect_triggers_and_grows_capacity():
     store = fresh("limdd", gc_capacity=8)
     roots = []
-    state, _ = simulate(gen_random(4, 25, seed=77, max_t=4), mode="limdd", store=store)
+    state, _ = simulate(gen_random(4, 25, seed=77, max_t=4), store=store)
     roots.append(state.root)
     engaged = store.maybe_collect(roots)
     # with such a tiny capacity the collector must have engaged at least once

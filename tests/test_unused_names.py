@@ -1,9 +1,11 @@
-"""Guard against dead code: every top-level name of the package is used.
+"""Guard against dead code: every top-level name of the package and of the
+shared test helpers is used.
 
-A top-level function, class or constant of ``src/qddsim/*.py`` must appear,
-as a whole word, somewhere besides its own definition: in ``src/``,
-``tests/`` or ``perfbench/``, or in the package's ``__all__``.  Dunder names
-are exempt.
+A top-level function, class or constant of ``src/qddsim/*.py`` or
+``tests/conftest.py`` must appear, as a whole word, somewhere besides its own
+definition: in ``src/``, ``tests/`` or ``perfbench/``, or in the package's
+``__all__``.  A fixture is used when a test names it as a parameter.  Dunder
+names are exempt.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ def test_every_top_level_name_is_used():
             words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
     unused = [
         f"{path.name}: {name}"
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in [*sorted(PACKAGE.glob("*.py")), ROOT / "tests" / "conftest.py"]
         for name in _top_level_names(ast.parse(path.read_text(encoding="utf-8")))
         if words[name] < 2 and name not in qddsim.__all__
     ]
