@@ -13,18 +13,22 @@ Every diagram operation is a hashable ``(kind, bits, arg)`` run by one
 driver function, ``_apply``, with one stack frame per level.  It moves the
 operation past an edge's label, then recurses over hash-consed nodes,
 memoizing each node's result, down to the level of the operation's highest
-bit, where one function per kind builds the result (``_AT_LEVEL``).  A
-node's result never goes stale because nodes are immutable, so the
-operation cache is cleared only to reclaim memory.
+bit, where one function per kind other than ``run`` builds the result
+(``_AT_LEVEL``).  A node's result never goes stale because nodes are
+immutable, so the operation cache is cleared only to reclaim memory.
 
-Single-qubit gates are one kind, ``run``: its arg is a tuple of steps, in
-application order, that all act on one bit.  A step is ``("diag", p)``,
-which multiplies the bit's |1> branch by omega**p (t, tdg, s, sdg and z), or
-``("h", 0)``, ``("x", 0)`` or ``("y", 0)``.  ``simulate`` applies each
-maximal run of adjacent single-qubit gates on one qubit as one operation, so
-the run costs one pass and one new node per level however many gates it
-holds; adjacent diag steps add their octants.  With per-gate checks every
-gate is its own run, so each check sees the state right after its gate.
+Single-qubit gates are one kind, ``run``: its bits run from highest to
+lowest, and its arg holds one tuple of steps per bit, in application order.
+A step is ``("diag", p)``, which multiplies the bit's |1> branch by
+omega**p (t, tdg, s, sdg and z), or ``("h", 0)``, ``("x", 0)`` or ``("y",
+0)``.  ``simulate`` lets single-qubit gates wait and applies all that wait,
+on any number of qubits, as one run (see ``_operations``), so a layer of
+them costs one descent however many gates and qubits it holds; adjacent
+diag steps on a qubit add their octants.  At the level of its top bit, a
+run applies the rest of itself to both branches and then that bit's steps
+to the pair, all from the one frame of that level.  With per-gate checks
+every gate is its own run, so each check sees the state right after its
+gate.
 ``proj`` keeps the part of the state in which a bit reads arg, and cz, cx,
 swap and ccx take arg 0.  Past a label with an X at the bit, a diagonal
 phase flips to its adjoint and emits a global phase, and a projection keeps
@@ -33,8 +37,9 @@ Clifford: past a label P it leaves a Clifford behind, ccx P = P C ccx, which
 the driver applies to the node's result with the Clifford kinds.  Identity
 strings, which include every evdd label, commute with everything, and an
 identity label whose factor is the interned ``ops.one`` passes the node's
-result through unchanged.  In limdd mode Pauli gates reduce to one label
-multiplication at the root, so they end a run rather than join it.
+result through unchanged.  In limdd mode a Pauli gate on a qubit with no
+waiting steps is one label multiplication at the root; on a qubit with
+waiting steps it joins them.
 cx with the control above the target flips the target on the control's high
 branch, and ccx with a control on top applies cx on that branch; with the
 target above, and for swap, the branches at the upper level are regrouped
@@ -141,8 +146,16 @@ def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
     then: Iterable[tuple] = ()
     if s.x or s.z:
         if kind == "run":
-            lim, arg = _run_past_lim(store, lim, bits[0], arg)
-            op = (kind, bits, arg)
+            mask = s.x | s.z
+            moved = None
+            for j, bit in enumerate(bits):
+                if (mask >> bit) & 1:
+                    if moved is None:
+                        moved = list(arg)
+                    lim, moved[j] = _run_past_lim(store, lim, bit, arg[j])
+            if moved is not None:
+                arg = tuple(moved)
+                op = (kind, bits, arg)
         elif kind == "proj":
             arg ^= (s.x >> bits[0]) & 1
             op = (kind, bits, arg)
@@ -155,8 +168,19 @@ def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
     sub = store.op_cache.get(key)
     if sub is None:
         # The recursion descends one level at a time from above the highest
-        # bit, so the first level that holds a bit holds the highest.
-        if node.level - 1 in bits:
+        # bit, so the first level that holds a bit holds the highest, which
+        # a run lists first.
+        level = node.level - 1
+        if kind == "run" and level == bits[0]:
+            # The rest of the run on both branches, from this frame so that
+            # a run of many bits takes one frame per level too, then this
+            # bit's steps on the pair.
+            e0, e1 = node.low, node.high
+            if len(bits) > 1:
+                rest = (kind, bits[1:], arg[1:])
+                e0, e1 = _apply(store, e0, rest), _apply(store, e1, rest)
+            sub = _steps_on_pair(store, e0, e1, arg[0])
+        elif kind != "run" and level in bits:
             sub = _AT_LEVEL[kind](store, node, bits, arg)
         else:
             sub = store.make_edge(_apply(store, node.low, op), _apply(store, node.high, op))
@@ -173,11 +197,9 @@ def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
 def _run_past_lim(
     store: DDStore, lim: PauliLIM, bit: int, steps: tuple
 ) -> tuple[PauliLIM, tuple]:
-    """Move a run right past the label lim, one step at a time in application
-    order: U_k..U_1 P = P' U'_k..U'_1.  Returns P' and the steps U'."""
-    s = lim.string
-    if not ((s.x | s.z) >> bit) & 1:
-        return lim, steps
+    """Move one bit's steps right past the label lim, which has an X or a Z
+    at the bit, one step at a time in application order: U_k..U_1 P =
+    P' U'_k..U'_1.  Returns P' and the steps U'."""
     moved = []
     for name, arg in steps:
         if name == "diag":
@@ -222,7 +244,7 @@ def _apply_pauli(store: DDStore, edge: Edge, kind: str, bit: int) -> Edge:
         m = 1 << bit
         row = (0, 0 if kind == "z" else m, 0 if kind == "x" else m)
         return Edge(row_lim_mul(store.ops, row, edge.lim), edge.node)
-    return _apply(store, edge, ("run", (bit,), (_STEP[kind],)))
+    return _apply(store, edge, ("run", (bit,), ((_STEP[kind],),)))
 
 
 def project(store: DDStore, edge: Edge, bit: int, value: int) -> Edge:
@@ -235,16 +257,15 @@ def _split(store: DDStore, edge: Edge, bit: int) -> tuple[Edge, Edge]:
     return project(store, edge, bit, 0), project(store, edge, bit, 1)
 
 
-# What each operation does to a node at the level of its highest bit.  The
-# two-bit kinds other than cx take their higher bit first, and ccx takes its
-# higher control first.
+# What each operation other than a run does to a node at the level of its
+# highest bit.  The two-bit kinds other than cx take their higher bit first,
+# and ccx takes its higher control first.
 
 
-def _run_at(store: DDStore, node, bits, steps) -> Edge:
-    """The steps on the branch pair, then one new node; the 1/sqrt2 of every
-    h is collected into one scale applied last."""
+def _steps_on_pair(store: DDStore, e0: Edge, e1: Edge, steps: tuple) -> Edge:
+    """One bit's steps on the branch pair, then one new node; the 1/sqrt2 of
+    every h is collected into one scale applied last."""
     ops = store.ops
-    e0, e1 = node.low, node.high
     scale = None
     for name, arg in steps:
         if name == "diag":
@@ -269,7 +290,7 @@ def _proj_at(store: DDStore, node, bits, value: int) -> Edge:
 
 
 def _cz_at(store: DDStore, node, bits, arg) -> Edge:
-    z = ("run", bits[1:], (("diag", 4),))
+    z = ("run", bits[1:], ((("diag", 4),),))
     return store.make_edge(node.low, _apply(store, node.high, z))
 
 
@@ -312,8 +333,7 @@ def _ccx_at(store: DDStore, node, bits, arg) -> Edge:
 
 
 _AT_LEVEL = {
-    "run": _run_at, "proj": _proj_at,
-    "cz": _cz_at, "cx": _cx_at, "swap": _swap_at, "ccx": _ccx_at,
+    "proj": _proj_at, "cz": _cz_at, "cx": _cx_at, "swap": _swap_at, "ccx": _ccx_at,
 }
 
 # The run step of each single-qubit gate.
@@ -339,37 +359,53 @@ def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> 
 def _operations(gates, n: int, limdd: bool, fuse: bool):
     """The gates, ``(kind, bits)`` pairs on internal positions that must
     pass ``gate_support``, as top-level operations ``(i, (kind, bits,
-    arg))``, i being the index of the operation's last gate.  With ``fuse``,
-    each maximal run of adjacent single-qubit gates on one qubit is one
-    ``run`` (limdd Paulis are label multiplies and end it); adjacent diag
-    steps add their octants, and a run whose steps cancel is left out.
-    Otherwise every single-qubit gate is a run of its own.  The other kinds
-    keep their gate name, and cz, swap and ccx take the higher of their
-    first two bits first."""
-    run_bit, steps, last = None, [], -1
+    arg))``, i being the index of the last gate the operation holds.
+
+    With ``fuse``, single-qubit gates wait, one list of steps per qubit in
+    which adjacent diag steps add their octants (a qubit whose steps cancel
+    drops out), and all that wait leave together as one ``run`` over their
+    qubits.  They leave before a multi-qubit gate that touches a waiting
+    qubit, and at the end.  A multi-qubit gate on other qubits commutes with
+    them and leaves first, as does a limdd Pauli (a label multiply) on a
+    qubit with no waiting steps; a limdd Pauli on a waiting qubit joins its
+    steps.  So operations can leave in another order than their gates, and
+    their i values need not increase.  Without ``fuse`` nothing waits:
+    every gate is one operation, in circuit order, and the operation is
+    gate i.  The kinds other than ``run`` keep their gate name, and cz, swap
+    and ccx take the higher of their first two bits first."""
+    waiting: dict[int, list] = {}
+    last = -1
     for i, (kind, bits) in enumerate(gates):
         gate_support(kind, bits, n)
-        step = None if limdd and kind in ("x", "y", "z") else _STEP.get(kind)
-        if step is not None and fuse and bits[0] == run_bit:
+        step = _STEP.get(kind)
+        if step is None or (limdd and kind in ("x", "y", "z") and bits[0] not in waiting):
+            if step is None and not waiting.keys().isdisjoint(bits):
+                yield last, _run_of(waiting)
+                waiting = {}
+            if kind in ("cz", "swap", "ccx"):
+                bits = (max(bits[:2]), min(bits[:2])) + bits[2:]
+            yield i, (kind, bits, 0)
+        elif not fuse:
+            yield i, ("run", bits, ((step,),))
+        else:
+            steps = waiting.setdefault(bits[0], [])
             if step[0] == "diag" and steps and steps[-1][0] == "diag":
                 p = (steps.pop()[1] + step[1]) % 8
                 if p:
                     steps.append(("diag", p))
+                elif not steps:
+                    del waiting[bits[0]]
             else:
                 steps.append(step)
             last = i
-            continue
-        if steps:
-            yield last, ("run", (run_bit,), tuple(steps))
-        run_bit, steps, last = None, [], i
-        if step is not None:
-            run_bit, steps = bits[0], [step]
-        elif kind in ("cz", "swap", "ccx"):
-            yield i, (kind, (max(bits[:2]), min(bits[:2])) + bits[2:], 0)
-        else:
-            yield i, (kind, bits, 0)
-    if steps:
-        yield last, ("run", (run_bit,), tuple(steps))
+    if waiting:
+        yield last, _run_of(waiting)
+
+
+def _run_of(waiting: dict[int, list]) -> tuple:
+    """One run of the waiting steps, its bits from highest to lowest."""
+    bits = sorted(waiting, reverse=True)
+    return ("run", tuple(bits), tuple(tuple(waiting[b]) for b in bits))
 
 
 @dataclass
@@ -418,10 +454,12 @@ def simulate(
     """Run a circuit from the all-zero state and report structural stats.
 
     ``circuit`` needs ``n_qubits`` and ``gates`` attributes.  Each gate is
-    one diagram operation, cx and ccx included, except that a run of
-    adjacent single-qubit gates on one qubit is one operation (see
-    ``_operations``); ``RunStats.ops_applied`` counts these operations, and
-    ``peak_nodes`` and ``gc_runs`` see the state only between them.
+    one diagram operation, cx and ccx included, except that single-qubit
+    gates wait and leave together as one operation over all their qubits,
+    before the next multi-qubit gate that touches one of those qubits
+    (see ``_operations``), so gates on disjoint qubits may be applied out
+    of circuit order.  ``RunStats.ops_applied`` counts these operations,
+    and ``peak_nodes`` and ``gc_runs`` see the state only between them.
     ``RunStats.counts`` counts the compiled primitive set of
     ``compile_gate`` (27 primitives per ccx).  Either check turns fusion
     off, so that it sees the state after every gate.  When ``check_bounds``

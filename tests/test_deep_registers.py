@@ -76,6 +76,31 @@ def test_public_operations_take_one_frame_per_level(mode):
 
 
 @pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_layer_of_every_qubit_takes_one_frame_per_level(mode):
+    """An h on every qubit is one run over all n bits, whose descent must
+    not add a frame per bit on top of the frame per level.  h on every
+    qubit, cz between the top and the bottom qubits and h on every qubit
+    again leave (|0..0> + |10..0> + |0..01> - |10..01>)/2."""
+    n = 200
+    layer = tuple(GateInstance("h", (q,)) for q in range(n))
+    circuit = Circuit(n, layer + (GateInstance("cz", (0, n - 1)),) + layer)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + n + 40)
+    try:
+        state, run = simulate(circuit, mode=mode)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert run.ops_applied == 3
+    top = 1 << (n - 1)
+    for index in (0, top, 1):
+        assert state.amplitude(index) == HALF
+    assert state.amplitude(top | 1) == -HALF
+    for index in (2, top >> 1, top | 2):
+        assert state.amplitude(index) == ZERO
+    assert squared_norm(state.store, state.root) == ONE
+
+
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
 def test_wide_register_runs_end_to_end(mode):
     n = 800
     state, run = simulate(_spanning_circuit(n), mode=mode)

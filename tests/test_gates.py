@@ -524,8 +524,8 @@ def test_identity_label_passes_the_node_result_through(mode, backend):
     for node in nodes:
         edge = Edge(store.identity_lim(node.level), node)
         for op in (
-            ("run", (0,), (("h", 0),)),
-            ("run", (node.level - 1,), (("diag", 1), ("h", 0), ("y", 0))),
+            ("run", (0,), ((("h", 0),),)),
+            ("run", (node.level - 1,), ((("diag", 1), ("h", 0), ("y", 0)),)),
             ("cz", (1, 0), 0),
         ):
             assert _apply(store, edge, op) is store.op_cache[(op, node.id)]
@@ -633,7 +633,7 @@ def test_run_under_every_phased_pauli_label_matches_dense():
             edge = Edge(lim, node)
             vec = store.to_vector(edge)
             for steps in runs:
-                got = gates._apply(store, edge, ("run", (bit,), steps))
+                got = gates._apply(store, edge, ("run", (bit,), (steps,)))
                 want = vec
                 for step in steps:
                     want = _dense_step(ops, want, bit, step)
@@ -667,29 +667,82 @@ FUSION_CONFIGS = [
 ]
 
 
+def _layered_circuits(count: int, seed: int):
+    """4-7 qubits in layers.  Each layer puts 1-3 single-qubit gates, Paulis
+    among them, on each of 3 or more qubits, then a Pauli on an idle qubit
+    when there is one, a multi-qubit gate that misses the layer's qubits
+    when it can (about half the time), and one more gate on each of two
+    layer qubits, which then straddle that gate."""
+    rng = random.Random(seed)
+    one_qubit = ("h", "t", "tdg", "s", "sdg", "x", "y", "z")
+    for _ in range(count):
+        n = rng.randint(4, 7)
+        out = []
+        for _ in range(6):
+            layer = rng.sample(range(n), rng.randint(3, n))
+            idle = [q for q in range(n) if q not in layer]
+            for q in layer:
+                out.extend(GateInstance(rng.choice(one_qubit), (q,))
+                           for _ in range(rng.randint(1, 3)))
+            if idle:
+                out.append(GateInstance(rng.choice(("x", "y", "z")), (rng.choice(idle),)))
+            kind = rng.choice(("cx", "cz", "swap", "ccx"))
+            pool = idle if len(idle) >= GATE_ARITY[kind] and rng.random() < 0.5 else range(n)
+            out.append(GateInstance(kind, tuple(rng.sample(pool, GATE_ARITY[kind]))))
+            out.extend(GateInstance(rng.choice(one_qubit), (q,)) for q in layer[:2])
+        yield Circuit(n, tuple(out))
+
+
 @pytest.mark.parametrize("mode,backend,norm_rule", FUSION_CONFIGS)
 def test_fused_runs_match_per_gate_application(mode, backend, norm_rule):
-    """simulate fuses runs; a per-gate check turns that off, so the checked
-    run is the unfused reference."""
-    fused_ops = ref_ops = 0
-    for circ in _run_rich_circuits(12, seed=2718):
-        settings = (CoeffPolicy(backend), mode, norm_rule)
-        state, run = simulate(circ, store=DDStore(*settings))
-        ref_state, ref = simulate(circ, check_bounds=True, store=DDStore(*settings))
-        state.check()
-        ref_state.check()
-        assert run.peak_nodes <= ref.peak_nodes
-        fused_ops += run.ops_applied
-        ref_ops += ref.ops_applied
-        assert ref.ops_applied == len(circ.gates)
-        if backend == "exact":
-            assert state.to_vector() == ref_state.to_vector()
-            assert (run.final_nodes, run.width_per_level, run.max_coeff_bits) == (
-                ref.final_nodes, ref.width_per_level, ref.max_coeff_bits)
-        else:
-            got, want = state.to_vector(), ref_state.to_vector()
-            assert max(abs(u - v) for u, v in zip(got, want)) < 1e-12
-    assert fused_ops < ref_ops
+    """simulate fuses single-qubit gates; a per-gate check turns that off,
+    so the checked run is the unfused reference.  The layered circuits add
+    runs over several qubits, limdd Paulis inside them and on idle qubits,
+    and gates that a multi-qubit gate on other qubits lets pass; their runs
+    must at least halve the operations."""
+    for circuits, ratio in (
+        (_run_rich_circuits(12, seed=2718), 1), (_layered_circuits(10, seed=1618), 2),
+    ):
+        fused_ops = ref_ops = 0
+        for circ in circuits:
+            settings = (CoeffPolicy(backend), mode, norm_rule)
+            state, run = simulate(circ, store=DDStore(*settings))
+            ref_state, ref = simulate(circ, check_bounds=True, store=DDStore(*settings))
+            state.check()
+            ref_state.check()
+            assert run.peak_nodes <= ref.peak_nodes
+            fused_ops += run.ops_applied
+            ref_ops += ref.ops_applied
+            assert ref.ops_applied == len(circ.gates)
+            if backend == "exact":
+                assert state.to_vector() == ref_state.to_vector()
+                assert (run.final_nodes, run.width_per_level, run.max_coeff_bits) == (
+                    ref.final_nodes, ref.width_per_level, ref.max_coeff_bits)
+            else:
+                got, want = state.to_vector(), ref_state.to_vector()
+                assert max(abs(u - v) for u, v in zip(got, want)) < 1e-12
+        assert ratio * fused_ops < ref_ops
+
+
+# Operations of simulate, before single-qubit gates on different qubits
+# shared one run: grover 43 in both modes, random 78 (limdd) and 75 (evdd).
+OPS_CEILINGS = {
+    ("limdd", "grover"): 25, ("evdd", "grover"): 17,
+    ("limdd", "random"): 55, ("evdd", "random"): 34,
+}
+
+
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_single_qubit_layers_are_one_operation(mode):
+    circuits = {"grover": gen_grover(3, 5), "random": gen_random(8, 80, 2, max_t=6)}
+    for name, circ in circuits.items():
+        _, run = simulate(circ, mode=mode)
+        assert run.ops_applied <= OPS_CEILINGS[mode, name], name
+    n = 12
+    layer = Circuit(n, tuple(GateInstance("h", (q,)) for q in range(n)))
+    state, run = simulate(layer, mode=mode)
+    assert run.ops_applied == 1
+    assert state.to_vector() == dense_simulate(layer)
 
 
 @pytest.mark.parametrize("mode", ["limdd", "evdd"])
