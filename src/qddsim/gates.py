@@ -21,12 +21,15 @@ Single-qubit gates are one kind, ``run``: its bits run from highest to
 lowest, and its arg holds one tuple of steps per bit, in application order.
 A step is ``("diag", p)``, which multiplies the bit's |1> branch by
 omega**p (t, tdg, s, sdg and z), or ``("h", 0)``, ``("x", 0)`` or ``("y",
-0)``.  ``simulate`` lets single-qubit gates wait and applies all that wait,
-on any number of qubits, as one run (see ``_operations``), so a layer of
-them costs one descent however many gates and qubits it holds; adjacent
-diag steps on a qubit add their octants.  At the level of its top bit, a
-run applies the rest of itself to both branches and then that bit's steps
-to the pair, all from the one frame of that level.  With per-gate checks
+0)``.  ``simulate`` lets single-qubit gates wait and applies all that wait
+as one run (see ``_operations``); in evdd a run spans any number of qubits,
+so a layer of them costs one descent however many gates and qubits it
+holds.  In limdd a run holds one qubit: a run is moved past every label
+on the way down, and labels that differ on its lower bits would each make
+it a different operation, one more descent per pattern.  Adjacent diag
+steps on a qubit add their octants.  At the level of its top bit, a run
+applies the rest of itself to both branches and then that bit's steps to
+the pair, all from the one frame of that level.  With per-gate checks
 every gate is its own run, so each check sees the state right after its
 gate.
 ``proj`` keeps the part of the state in which a bit reads arg, and cz, cx,
@@ -365,9 +368,13 @@ def _operations(gates, n: int, limdd: bool, fuse: bool):
     which adjacent diag steps add their octants (a qubit whose steps cancel
     drops out), and all that wait leave together as one ``run`` over their
     qubits.  They leave before a multi-qubit gate that touches a waiting
-    qubit, and at the end.  A multi-qubit gate on other qubits commutes with
-    them and leaves first, as does a limdd Pauli (a label multiply) on a
-    qubit with no waiting steps; a limdd Pauli on a waiting qubit joins its
+    qubit, and at the end; a multi-qubit gate on other qubits commutes with
+    them and leaves first.  In limdd a run holds one qubit (see the module
+    docstring), so the steps waiting on one qubit leave before any gate on
+    another, multi-qubit gates included, as waiting across those saves a
+    one-qubit run little and changes the intermediate states.  The
+    exception is a limdd Pauli (a label multiply) on a qubit with no
+    waiting steps, which leaves first; on a waiting qubit it joins the
     steps.  So operations can leave in another order than their gates, and
     their i values need not increase.  Without ``fuse`` nothing waits:
     every gate is one operation, in circuit order, and the operation is
@@ -379,7 +386,7 @@ def _operations(gates, n: int, limdd: bool, fuse: bool):
         gate_support(kind, bits, n)
         step = _STEP.get(kind)
         if step is None or (limdd and kind in ("x", "y", "z") and bits[0] not in waiting):
-            if step is None and not waiting.keys().isdisjoint(bits):
+            if step is None and waiting and (limdd or not waiting.keys().isdisjoint(bits)):
                 yield last, _run_of(waiting)
                 waiting = {}
             if kind in ("cz", "swap", "ccx"):
@@ -388,6 +395,9 @@ def _operations(gates, n: int, limdd: bool, fuse: bool):
         elif not fuse:
             yield i, ("run", bits, ((step,),))
         else:
+            if limdd and waiting and bits[0] not in waiting:
+                yield last, _run_of(waiting)
+                waiting = {}
             steps = waiting.setdefault(bits[0], [])
             if step[0] == "diag" and steps and steps[-1][0] == "diag":
                 p = (steps.pop()[1] + step[1]) % 8
@@ -456,9 +466,10 @@ def simulate(
     ``circuit`` needs ``n_qubits`` and ``gates`` attributes.  Each gate is
     one diagram operation, cx and ccx included, except that single-qubit
     gates wait and leave together as one operation over all their qubits,
-    before the next multi-qubit gate that touches one of those qubits
-    (see ``_operations``), so gates on disjoint qubits may be applied out
-    of circuit order.  ``RunStats.ops_applied`` counts these operations,
+    before the next multi-qubit gate that touches one of those qubits (see
+    ``_operations``; in limdd a run holds one qubit and leaves before any
+    gate on another), so gates on disjoint qubits may be applied out of
+    circuit order.  ``RunStats.ops_applied`` counts these operations,
     and ``peak_nodes`` and ``gc_runs`` see the state only between them.
     ``RunStats.counts`` counts the compiled primitive set of
     ``compile_gate`` (27 primitives per ccx).  Either check turns fusion

@@ -77,8 +77,9 @@ def test_public_operations_take_one_frame_per_level(mode):
 
 @pytest.mark.parametrize("mode", ["limdd", "evdd"])
 def test_layer_of_every_qubit_takes_one_frame_per_level(mode):
-    """An h on every qubit is one run over all n bits, whose descent must
-    not add a frame per bit on top of the frame per level.  h on every
+    """In evdd an h on every qubit is one run over all n bits, whose descent
+    must not add a frame per bit on top of the frame per level; in limdd
+    each h is a run of its own.  h on every
     qubit, cz between the top and the bottom qubits and h on every qubit
     again leave (|0..0> + |10..0> + |0..01> - |10..01>)/2."""
     n = 200
@@ -90,7 +91,7 @@ def test_layer_of_every_qubit_takes_one_frame_per_level(mode):
         state, run = simulate(circuit, mode=mode)
     finally:
         sys.setrecursionlimit(limit)
-    assert run.ops_applied == 3
+    assert run.ops_applied == (3 if mode == "evdd" else 2 * n + 1)
     top = 1 << (n - 1)
     for index in (0, top, 1):
         assert state.amplitude(index) == HALF

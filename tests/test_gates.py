@@ -618,7 +618,8 @@ def _dense_step(ops, vec, bit, step):
 def test_run_under_every_phased_pauli_label_matches_dense():
     """A run of 1-3 steps on an edge labelled c * P, for each of the 16 c in
     {1, i, -1, -i} and P in {I, X, Y, Z} at the run's bit, equals the dense
-    product of its steps."""
+    product of its steps, and so does a run over bits 2 and 0 under c times
+    any Pauli at each."""
     from qddsim.pauli import PauliLIM, PauliString
 
     store = DDStore()
@@ -638,6 +639,21 @@ def test_run_under_every_phased_pauli_label_matches_dense():
                 for step in steps:
                     want = _dense_step(ops, want, bit, step)
                 assert store.to_vector(got) == want, (bit, k, px, pz, steps)
+            store.check_invariants(got)
+    rng = random.Random(5)
+    paulis = ((0, 0), (1, 0), (1, 1), (0, 1))
+    for k, (x2, z2), (x0, z0) in itertools.product(range(4), paulis, paulis):
+        lim = PauliLIM(ops.i_power(k), PauliString(3, x2 << 2 | x0, z2 << 2 | z0))
+        edge = Edge(lim, node)
+        vec = store.to_vector(edge)
+        for _ in range(4):
+            arg = tuple(tuple(rng.choices(_STEP_CHOICES, k=rng.randint(1, 3))) for _ in "ab")
+            got = gates._apply(store, edge, ("run", (2, 0), arg))
+            want = vec
+            for bit, steps in zip((2, 0), arg):
+                for step in steps:
+                    want = _dense_step(ops, want, bit, step)
+            assert store.to_vector(got) == want, (k, x2, z2, x0, z0, arg)
             store.check_invariants(got)
 
 
@@ -697,11 +713,13 @@ def _layered_circuits(count: int, seed: int):
 def test_fused_runs_match_per_gate_application(mode, backend, norm_rule):
     """simulate fuses single-qubit gates; a per-gate check turns that off,
     so the checked run is the unfused reference.  The layered circuits add
-    runs over several qubits, limdd Paulis inside them and on idle qubits,
-    and gates that a multi-qubit gate on other qubits lets pass; their runs
-    must at least halve the operations."""
+    layers over several qubits, limdd Paulis inside runs and on idle qubits,
+    and evdd runs that let a multi-qubit gate on other qubits pass; in evdd,
+    where a run spans a layer, their runs must at least halve the
+    operations."""
+    layered = 2 if mode == "evdd" else 1
     for circuits, ratio in (
-        (_run_rich_circuits(12, seed=2718), 1), (_layered_circuits(10, seed=1618), 2),
+        (_run_rich_circuits(12, seed=2718), 1), (_layered_circuits(10, seed=1618), layered),
     ):
         fused_ops = ref_ops = 0
         for circ in circuits:
@@ -724,11 +742,10 @@ def test_fused_runs_match_per_gate_application(mode, backend, norm_rule):
         assert ratio * fused_ops < ref_ops
 
 
-# Operations of simulate, before single-qubit gates on different qubits
-# shared one run: grover 43 in both modes, random 78 (limdd) and 75 (evdd).
+# Operations of simulate.  A limdd run holds one qubit (see _operations).
 OPS_CEILINGS = {
-    ("limdd", "grover"): 25, ("evdd", "grover"): 17,
-    ("limdd", "random"): 55, ("evdd", "random"): 34,
+    ("limdd", "grover"): 41, ("evdd", "grover"): 17,
+    ("limdd", "random"): 77, ("evdd", "random"): 34,
 }
 
 
@@ -741,8 +758,41 @@ def test_single_qubit_layers_are_one_operation(mode):
     n = 12
     layer = Circuit(n, tuple(GateInstance("h", (q,)) for q in range(n)))
     state, run = simulate(layer, mode=mode)
-    assert run.ops_applied == 1
+    assert run.ops_applied == (1 if mode == "evdd" else n)
     assert state.to_vector() == dense_simulate(layer)
+
+
+def test_limdd_runs_do_not_multiply_descents():
+    """h on the lower half, cx from each lower qubit to its partner in the
+    upper half, then s on every qubit: a Clifford state of width 1 whose
+    node at the middle level is reached under 2**m labels.  A run over the
+    s layer would be moved past each of them into a different operation,
+    2**m descents of that node; one run per qubit keeps the descents of
+    the per-gate run."""
+    m = 16
+    n = 2 * m
+    circuit = Circuit(n, tuple(
+        [GateInstance("h", (q,)) for q in range(m)]
+        + [GateInstance("cx", (q, m + q)) for q in range(m)]
+        + [GateInstance("s", (q,)) for q in range(n)]
+    ))
+
+    def descents(**checks):
+        store = DDStore(mode="limdd")
+        total = 0
+        clear = store.clear_op_caches
+
+        def counting_clear():
+            nonlocal total
+            total += len(store.op_cache)
+            clear()
+
+        store.clear_op_caches = counting_clear
+        _, run = simulate(circuit, store=store, **checks)
+        assert max(run.width_per_level) == 1
+        return total
+
+    assert descents() <= descents(check_bounds=True)
 
 
 @pytest.mark.parametrize("mode", ["limdd", "evdd"])
