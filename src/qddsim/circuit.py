@@ -372,8 +372,12 @@ def dense_simulate(circuit: Circuit, max_qubits: int = _DENSE_CAP) -> list[RingV
 
 
 def dense_probability_zero(vec: list[RingValue], qubit: int = 0) -> RingValue:
-    """Probability that the qubit reads 0, from a dense amplitude vector."""
+    """Probability that the qubit, valid where a one-qubit gate is, reads 0,
+    from a dense vector of 2**n amplitudes, n >= 1."""
     n = (len(vec) - 1).bit_length()
+    if len(vec) != 1 << n or n < 1:
+        raise ValueError(f"need 2**n amplitudes with n >= 1, got {len(vec)}")
+    gate_support("z", (qubit,), n)
     b = 1 << (n - 1 - qubit)
     total = ZERO
     kept = ZERO

@@ -27,6 +27,7 @@ adjacent grid cells).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
@@ -342,17 +343,9 @@ class ExactOps:
         x = edge.lim.factor
         return not (x._a or x._b or x._c or x._d)
 
-    @staticmethod
-    def eq(x: RingValue, y: RingValue) -> bool:
-        return x == y
-
-    @staticmethod
-    def add(x: RingValue, y: RingValue) -> RingValue:
-        return x + y
-
-    @staticmethod
-    def sub(x: RingValue, y: RingValue) -> RingValue:
-        return x - y
+    eq = staticmethod(operator.eq)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
 
     # Most factors the diagram core multiplies or divides by are the ONE
     # that identity labels carry, or the value being divided, so those
@@ -373,17 +366,13 @@ class ExactOps:
             return ONE
         return x / y
 
-    @staticmethod
-    def neg(x: RingValue) -> RingValue:
-        return -x
+    neg = staticmethod(operator.neg)
 
     @staticmethod
     def inv(x: RingValue) -> RingValue:
         return ONE / x
 
-    @staticmethod
-    def conj(x: RingValue) -> RingValue:
-        return x.conj()
+    conj = staticmethod(RingValue.conj)
 
     @staticmethod
     def abs2(x: RingValue) -> RingValue:
@@ -394,9 +383,7 @@ class ExactOps:
     def i_power(k: int) -> RingValue:
         return _OMEGA_POWERS[(k & 3) * 2]
 
-    @staticmethod
-    def omega(k: int) -> RingValue:
-        return omega_power(k)
+    omega = staticmethod(omega_power)
 
     invsqrt2 = INV_SQRT2
 
@@ -452,33 +439,17 @@ class FloatOps:
     def eq(self, x: complex, y: complex) -> bool:
         return abs(x - y) <= self.tolerance
 
-    @staticmethod
-    def add(x: complex, y: complex) -> complex:
-        return x + y
-
-    @staticmethod
-    def sub(x: complex, y: complex) -> complex:
-        return x - y
-
-    @staticmethod
-    def mul(x: complex, y: complex) -> complex:
-        return x * y
-
-    @staticmethod
-    def div(x: complex, y: complex) -> complex:
-        return x / y
-
-    @staticmethod
-    def neg(x: complex) -> complex:
-        return -x
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    div = staticmethod(operator.truediv)
+    neg = staticmethod(operator.neg)
 
     @staticmethod
     def inv(x: complex) -> complex:
         return 1 / x
 
-    @staticmethod
-    def conj(x: complex) -> complex:
-        return x.conjugate()
+    conj = staticmethod(complex.conjugate)
 
     @staticmethod
     def abs2(x: complex) -> complex:

@@ -251,50 +251,40 @@ class DDStore:
         return Edge(root, self._make_node(m + 1, *((zero, child) if bit else (child, zero)), key))
 
     def _make_edge_evdd(self, m: int, low: Edge, high: Edge, key: tuple | None) -> Edge:
-        # A normalized weight can read as zero on the float backend although
-        # the weight it came from did not; that branch is then dropped, as
-        # a zero child would be.  The float low rule divides by the high
-        # weight when the low one is below SMALL_LOW of it, as dividing by
-        # rounding noise would lose the state; the node keeps high weight one.
+        """|0>(low) + |1>(high) for two nonzero children with weights a and
+        b, as a root weight w times a node whose children weigh a/w and b/w.
+        The rule picks w: ``low`` takes a; ``l2`` the norm of (a, b) with
+        a's phase; and the float ``low`` rule takes b when a is below
+        SMALL_LOW of it, as dividing by rounding noise would lose the state.
+        The child whose weight is w gets the interned one.  A child weight
+        that reads as zero on the float backend, though its weight before
+        dividing did not, drops that branch, as a zero child would be."""
         ops = self.ops
+        one = ops.one
         a, b = low.lim.factor, high.lim.factor
         if self.norm_rule == "l2":
-            norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
-            phase = a / abs(a)
-            w = norm * phase
-            lo, hi = a / w, b / w
-            if ops.is_zero(lo):
-                return self._one_branch(m, high, 1)
-            if ops.is_zero(hi):
-                return self._one_branch(m, low, 0)
-            node = self._make_node(
-                m + 1,
-                Edge(PauliLIM(lo, PauliString(m, 0, 0)), low.node),
-                Edge(PauliLIM(hi, PauliString(m, 0, 0)), high.node),
-            )
-            return Edge(PauliLIM(w, PauliString(m + 1, 0, 0)), node)
-        if self.guard_low and abs(a) < SMALL_LOW * abs(b):
-            c = ops.div(a, b)
-            if ops.is_zero(c):
-                return self._one_branch(m, high, 1)
-            node = self._make_node(
-                m + 1,
-                Edge(PauliLIM(c, low.lim.string), low.node),
-                Edge(self.identity_lim(m), high.node),
-            )
-            return Edge(PauliLIM(b, PauliString(m + 1, 0, 0)), node)
-        c = ops.div(b, a)
-        if ops.is_zero(c):
-            return self._one_branch(m, low, 0)
-        # Children that are already normalized are reused as they are.
-        if a is ops.one:
-            child0, root = low, self.identity_lim(m + 1)
+            w = (abs(a) ** 2 + abs(b) ** 2) ** 0.5 * (a / abs(a))
+        elif self.guard_low and abs(a) < SMALL_LOW * abs(b):
+            w = b
         else:
-            child0 = Edge(self.identity_lim(m), low.node)
-            root = PauliLIM(a, PauliString(m + 1, 0, 0))
-        child1 = high if c is b else Edge(PauliLIM(c, high.lim.string), high.node)
-        # The probe's key, set when a is one, fits when high is kept.
-        return Edge(root, self._make_node(m + 1, child0, child1, key if c is b else None))
+            w = a
+        if w is a:
+            lo, hi = one, ops.div(b, a)
+        else:
+            lo, hi = ops.div(a, w), one if w is b else ops.div(b, w)
+        if lo is not one and ops.is_zero(lo):
+            return self._one_branch(m, high, 1)
+        if hi is not one and ops.is_zero(hi):
+            return self._one_branch(m, low, 0)
+        # Children whose weight is unchanged are reused as they are.
+        child0 = low if lo is a else Edge(PauliLIM(lo, low.lim.string), low.node)
+        child1 = high if hi is b else Edge(PauliLIM(hi, high.lim.string), high.node)
+        root = self.identity_lim(m + 1) if w is one else PauliLIM(w, PauliString(m + 1, 0, 0))
+        # The probe's key, set when a is one, fits only the children it was
+        # built from.
+        if child0 is not low or child1 is not high:
+            key = None
+        return Edge(root, self._make_node(m + 1, child0, child1, key))
 
     def _get_labels(
         self, a_hat: PauliLIM, v0: Node, v1: Node, outer: PauliLIM

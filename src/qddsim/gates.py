@@ -20,29 +20,29 @@ immutable, so the operation cache is cleared only to reclaim memory.
 Single-qubit gates are one kind, ``run``: its bits run from highest to
 lowest, and its arg holds one tuple of steps per bit, in application order.
 A step is ``("diag", p)``, which multiplies the bit's |1> branch by
-omega**p (t, tdg, s, sdg and z), or ``("h", 0)``, ``("x", 0)`` or ``("y",
-0)``.  ``simulate`` lets single-qubit gates wait and applies all that wait
-as one run (see ``_operations``); in evdd a run spans any number of qubits,
-so a layer of them costs one descent however many gates and qubits it
-holds.  In limdd a run holds one qubit: a run is moved past every label
-on the way down, and labels that differ on its lower bits would each make
-it a different operation, one more descent per pattern.  Adjacent diag
-steps on a qubit add their octants.  At the level of its top bit, a run
-applies the rest of itself to both branches and then that bit's steps to
-the pair, all from the one frame of that level.  With per-gate checks
-every gate is its own run, so each check sees the state right after its
-gate.
-``proj`` keeps the part of the state in which a bit reads arg, and cz, cx,
-swap and ccx take arg 0.  Past a label with an X at the bit, a diagonal
-phase flips to its adjoint and emits a global phase, and a projection keeps
-the other value; Clifford kinds and steps conjugate the label.  ccx is not
-Clifford: past a label P it leaves a Clifford behind, ccx P = P C ccx, which
-the driver applies to the node's result with the Clifford kinds.  Identity
-strings, which include every evdd label, commute with everything, and an
-identity label whose factor is the interned ``ops.one`` passes the node's
-result through unchanged.  In limdd mode a Pauli gate on a qubit with no
-waiting steps is one label multiplication at the root; on a qubit with
-waiting steps it joins them.
+omega**p (t, tdg, s, sdg and z), ``("h", 0)``, ``("x", 0)``, ``("y", 0)``
+or ``("proj", v)``, which keeps the part of the state in which the bit
+reads v (``project`` is a run of that one step).  ``simulate`` lets
+single-qubit gates wait and applies all that wait as one run (see
+``_operations``); in evdd a run spans any number of qubits, so a layer of
+them costs one descent however many gates and qubits it holds.  In limdd a
+run holds one qubit: a run is moved past every label on the way down, and
+labels that differ on its lower bits would each make it a different
+operation, one more descent per pattern.  Adjacent diag steps on a qubit
+add their octants.  At the level of its top bit, a run applies the rest of
+itself to both branches and then that bit's steps to the pair, all from
+the one frame of that level.  With per-gate checks every gate is its own
+run, so each check sees the state right after its gate.
+cz, cx, swap and ccx take arg 0.  Past a label with an X at the bit, a
+diagonal phase flips to its adjoint and emits a global phase, and a
+projection keeps the other value; Clifford kinds and steps conjugate the
+label.  ccx is not Clifford: past a label P it leaves a Clifford behind,
+ccx P = P C ccx, which the driver applies to the node's result with the
+Clifford kinds.  Identity strings, which include every evdd label, commute
+with everything, and an identity label whose factor is the interned
+``ops.one`` passes the node's result through unchanged.  In limdd mode a
+Pauli gate on a qubit with no waiting steps is one label multiplication at
+the root; on a qubit with waiting steps it joins them.
 cx with the control above the target flips the target on the control's high
 branch, and ccx with a control on top applies cx on that branch; with the
 target above, and for swap, the branches at the upper level are regrouped
@@ -159,9 +159,6 @@ def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
             if moved is not None:
                 arg = tuple(moved)
                 op = (kind, bits, arg)
-        elif kind == "proj":
-            arg ^= (s.x >> bits[0]) & 1
-            op = (kind, bits, arg)
         elif kind == "ccx":
             lim, then = _ccx_past_lim(store, lim, bits)
         else:
@@ -209,6 +206,8 @@ def _run_past_lim(
             scal, arg = commute_phase_past_lim(arg, bit, lim)
             if scal:
                 lim = lim_scale(store.ops, store.ops.omega(scal), lim)
+        elif name == "proj":  # P_v X = X P_(1-v); Z commutes
+            arg ^= (lim.string.x >> bit) & 1
         else:
             lim = conjugate_lim(store.ops, lim, name, (bit,))
         moved.append((name, arg))
@@ -253,7 +252,7 @@ def _apply_pauli(store: DDStore, edge: Edge, kind: str, bit: int) -> Edge:
 def project(store: DDStore, edge: Edge, bit: int, value: int) -> Edge:
     """The part of the state in which ``bit`` reads ``value`` (unnormalized;
     a zero edge if there is none)."""
-    return _apply(store, edge, ("proj", (bit,), value))
+    return _apply(store, edge, ("run", (bit,), ((("proj", value),),)))
 
 
 def _split(store: DDStore, edge: Edge, bit: int) -> tuple[Edge, Edge]:
@@ -279,17 +278,14 @@ def _steps_on_pair(store: DDStore, e0: Edge, e1: Edge, steps: tuple) -> Edge:
             scale = ops.invsqrt2 if scale is None else ops.mul(scale, ops.invsqrt2)
         elif name == "x":
             e0, e1 = e1, e0
+        elif name == "proj":
+            zero = store.zero_edge(e0.lim.string.n)
+            e0, e1 = (zero, e1) if arg else (e0, zero)
         else:  # y
             e0, e1 = (_scale_edge(store, ops.i_power(3), e1),
                       _scale_edge(store, ops.i_power(1), e0))
     res = store.make_edge(e0, e1)
     return res if scale is None else _scale_edge(store, scale, res)
-
-
-def _proj_at(store: DDStore, node, bits, value: int) -> Edge:
-    zero = store.zero_edge(bits[0])
-    low, high = (zero, node.high) if value else (node.low, zero)
-    return store.make_edge(low, high)
 
 
 def _cz_at(store: DDStore, node, bits, arg) -> Edge:
@@ -335,9 +331,7 @@ def _ccx_at(store: DDStore, node, bits, arg) -> Edge:
     )
 
 
-_AT_LEVEL = {
-    "proj": _proj_at, "cz": _cz_at, "cx": _cx_at, "swap": _swap_at, "ccx": _ccx_at,
-}
+_AT_LEVEL = {"cz": _cz_at, "cx": _cx_at, "swap": _swap_at, "ccx": _ccx_at}
 
 # The run step of each single-qubit gate.
 _STEP = {"h": ("h", 0), "x": ("x", 0), "y": ("y", 0)}

@@ -9,8 +9,8 @@ interleaves the codes, top qubit highest, so numeric key order is the
 lexicographic order of strings and the XOR of two keys is their product's key.
 
 The group kernel works on rows ``(k, x, z)``: i**k times the string, with k
-an integer mod 4, so products never touch the scalar ring (``row_mul`` applies
-the phase rule of ``lim_mul`` to the exponent).  A subgroup is an echelon
+an integer mod 4, so products never touch the scalar ring (``row_mul`` holds
+the phase rule, and ``lim_mul`` uses it for labels).  A subgroup is an echelon
 basis: ``(key, row)`` pairs whose keys have distinct leading bits, sorted
 descending.  ``echelon`` builds one; ``reduce_key`` clears a key against one
 top down, which finds the minimal string of a coset; ``joint_echelon`` spans
@@ -84,7 +84,8 @@ Basis = tuple[tuple[int, Row], ...]  # (key, row), distinct leads, keys descendi
 
 
 def row_mul(r1: Row, r2: Row) -> Row:
-    """Product of two rows; the phase rule of ``lim_mul`` on exponents."""
+    """Product of two rows: the strings multiply by XOR, and the power of i
+    comes from rewriting both sides in X^x Z^z form and back."""
     k1, x1, z1 = r1
     k2, x2, z2 = r2
     x = x1 ^ x2
@@ -181,21 +182,11 @@ class PauliLIM(NamedTuple):
 
 
 def lim_mul(ops: ScalarOps, l1: PauliLIM, l2: PauliLIM) -> PauliLIM:
-    """Operator product; the string multiplies by XOR, the factor picks up
-    the power of i from rewriting both sides in X^x Z^z form and back."""
+    """Operator product: ``row_mul`` of the strings, its power of i folded
+    into the product of the factors."""
     s1, s2 = l1.string, l2.string
-    x = s1.x ^ s2.x
-    z = s1.z ^ s2.z
-    f = (
-        (s1.x & s1.z).bit_count()
-        + (s2.x & s2.z).bit_count()
-        + 2 * (s1.z & s2.x).bit_count()
-        - (x & z).bit_count()
-    )
-    factor = ops.mul(l1.factor, l2.factor)
-    if f & 3:
-        factor = ops.mul(factor, ops.i_power(f))
-    return PauliLIM(factor, PauliString(s1.n, x, z))
+    k, x, z = row_mul((0, s1.x, s1.z), (0, s2.x, s2.z))
+    return PauliLIM(times_i(ops, ops.mul(l1.factor, l2.factor), k), PauliString(s1.n, x, z))
 
 
 def lim_inverse(ops: ScalarOps, lim: PauliLIM) -> PauliLIM:

@@ -222,6 +222,11 @@ def test_dense_probability_zero():
     basis = dense_simulate(Circuit(2, (GateInstance("x", (0,)),)))
     assert dense_probability_zero(basis, 0) == ZERO
     assert dense_probability_zero(basis, 1) == ONE
+    for qubit in (-1, 2, 1.0):
+        with pytest.raises(ValueError):
+            dense_probability_zero(basis, qubit)
+    with pytest.raises(ValueError):
+        dense_probability_zero(vec[:6])
 
 
 @pytest.mark.parametrize("mode", ["limdd", "evdd"])

@@ -3,6 +3,7 @@ traversal and garbage collection."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -178,6 +179,26 @@ def test_float_evdd_low_rule_divides_a_small_low_weight_by_the_high_one():
     node.low = Edge(PauliLIM(RingValue(F(1, 1 << 40)), PauliString(1, 0, 0)), v)
     with pytest.raises(DiagramError, match="unnormalized low weight"):
         exact.check_invariants(Edge(exact.identity_lim(2), node))
+
+
+@pytest.mark.xfail(
+    strict=True, reason="float keys round to a tolerance grid (ROADMAP item 3)"
+)
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_float_values_equal_within_tolerance_intern_to_one_node(mode):
+    """Two weights within the tolerance of each other, on either side of a
+    grid cell's edge, pass ``eq`` but get different keys, so they make two
+    nodes.  Tolerance-aware interning would make this pass."""
+    store = fresh(mode, policy=CoeffPolicy("float", 1e-14))
+    ops, g = store.ops, 1e-14
+    b = (math.floor(0.3 / g) + 0.5) * g
+    x, y = complex(b + 0.3 * g), complex(b - 0.3 * g)
+    assert ops.eq(x, y)
+    assert (ops.key(x), ops.key(y)) == ((30000000000001, 0), (30000000000000, 0))
+    one = store.terminal_edge(ops.one)
+    ex = store.make_edge(one, store.terminal_edge(x))
+    ey = store.make_edge(one, store.terminal_edge(y))
+    assert ex.node is ey.node
 
 
 FAST_PATH_CONFIGS = [

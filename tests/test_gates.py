@@ -588,7 +588,9 @@ def test_wstate8_evdd_call_counts_stay_at_their_ceilings(monkeypatch):
 
 # -- runs of single-qubit gates --------------------------------------------
 
-_STEP_CHOICES = (("diag", 1), ("diag", 6), ("h", 0), ("x", 0), ("y", 0))
+_STEP_CHOICES = (
+    ("diag", 1), ("diag", 6), ("h", 0), ("x", 0), ("y", 0), ("proj", 0), ("proj", 1),
+)
 
 
 def _step_matrix(ops, step):
@@ -601,6 +603,8 @@ def _step_matrix(ops, step):
         return ((r, r), (r, ops.neg(r)))
     if name == "x":
         return ((zero, one), (one, zero))
+    if name == "proj":
+        return ((zero if arg else one, zero), (zero, one if arg else zero))
     return ((zero, ops.i_power(3)), (ops.i_power(1), zero))  # y
 
 
@@ -616,10 +620,10 @@ def _dense_step(ops, vec, bit, step):
 
 
 def test_run_under_every_phased_pauli_label_matches_dense():
-    """A run of 1-3 steps on an edge labelled c * P, for each of the 16 c in
-    {1, i, -1, -i} and P in {I, X, Y, Z} at the run's bit, equals the dense
-    product of its steps, and so does a run over bits 2 and 0 under c times
-    any Pauli at each."""
+    """A run of 1-3 steps, projections among them, on an edge labelled
+    c * P, for each of the 16 c in {1, i, -1, -i} and P in {I, X, Y, Z} at
+    the run's bit, equals the dense product of its steps, and so does a run
+    over bits 2 and 0 under c times any Pauli at each."""
     from qddsim.pauli import PauliLIM, PauliString
 
     store = DDStore()
