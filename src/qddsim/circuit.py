@@ -274,6 +274,8 @@ def gen_random(
     """Seeded random circuit; optional ceilings on t-family and h gates."""
     if n < 1 or depth < 0:
         raise ValueError("bad register size or depth")
+    if any(c is not None and c < 0 for c in (max_t, max_h)):
+        raise ValueError(f"gate ceilings must not be negative: max_t={max_t}, max_h={max_h}")
     if kinds is None:
         pool = ["h", "t", "tdg", "s", "sdg", "x", "y", "z"]
         if n >= 2:

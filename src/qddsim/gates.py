@@ -24,19 +24,22 @@ omega**p (t, tdg, s, sdg and z), ``("h", 0)``, ``("x", 0)``, ``("y", 0)``
 or ``("proj", v)``, which keeps the part of the state in which the bit
 reads v (``project`` is a run of that one step).  ``simulate`` lets
 single-qubit gates wait and applies all that wait as one run (see
-``_operations``); in evdd a run spans any number of qubits, so a layer of
-them costs one descent however many gates and qubits it holds.  In limdd a
-run holds one qubit: a run is moved past every label on the way down, and
-labels that differ on its lower bits would each make it a different
-operation, one more descent per pattern.  Adjacent diag steps on a qubit
-add their octants.  At the level of its top bit, a run applies the rest of
-itself to both branches and then that bit's steps to the pair, all from
-the one frame of that level.  With per-gate checks every gate is its own
-run, so each check sees the state right after its gate.
-cz, cx, swap and ccx take arg 0.  Past a label with an X at the bit, a
-diagonal phase flips to its adjoint and emits a global phase, and a
-projection keeps the other value; Clifford kinds and steps conjugate the
-label.  ccx is not Clifford: past a label P it leaves a Clifford behind,
+``_operations``); in both modes a run spans any number of qubits, so a
+layer of them costs one descent however many gates and qubits it holds.
+Adjacent diag steps on a qubit add their octants.  At the level of its
+top bit, a run applies the rest of itself to both branches and then that
+bit's steps to the pair, all from the one frame of that level.  With
+per-gate checks every gate is its own run, so each check sees the state
+right after its gate.
+cz, cx, swap and ccx take arg 0.  Clifford kinds and steps, the even
+diag octants (s, z, sdg) among them, conjugate the label and stay as
+they are.  Past a label with an X at the bit, an odd diag octant (t,
+tdg) flips to its adjoint and emits a global phase, and a projection
+keeps the other value.  A run that changes so could become a different
+operation under each label, one more descent per pattern, so a run of
+several bits that would change is applied one bit at a time from that
+edge instead; every other run keeps one cache entry per node whatever
+the labels.  ccx is not Clifford: past a label P it leaves a Clifford behind,
 ccx P = P C ccx, which the driver applies to the node's result with the
 Clifford kinds.  Identity strings, which include every evdd label, commute
 with everything, and an identity label whose factor is the interned
@@ -150,15 +153,17 @@ def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
     if s.x or s.z:
         if kind == "run":
             mask = s.x | s.z
-            moved = None
+            moved = list(arg)
             for j, bit in enumerate(bits):
                 if (mask >> bit) & 1:
-                    if moved is None:
-                        moved = list(arg)
                     lim, moved[j] = _run_past_lim(store, lim, bit, arg[j])
-            if moved is not None:
-                arg = tuple(moved)
-                op = (kind, bits, arg)
+            moved = tuple(moved)
+            if len(bits) > 1 and moved != arg:  # changed: a new op per label pattern
+                for bit, steps in zip(bits, arg):
+                    edge = _apply(store, edge, (kind, (bit,), (steps,)))
+                return edge
+            arg = moved
+            op = (kind, bits, arg)
         elif kind == "ccx":
             lim, then = _ccx_past_lim(store, lim, bits)
         else:
@@ -199,17 +204,19 @@ def _run_past_lim(
 ) -> tuple[PauliLIM, tuple]:
     """Move one bit's steps right past the label lim, which has an X or a Z
     at the bit, one step at a time in application order: U_k..U_1 P =
-    P' U'_k..U'_1.  Returns P' and the steps U'."""
+    P' U'_k..U'_1.  Returns P' and the steps U'.  A Clifford step (h, x, y
+    or an even diag octant) conjugates the label and stays as it is; only
+    an odd diag octant and a projection change, and only under an X."""
     moved = []
     for name, arg in steps:
-        if name == "diag":
+        if name == "diag" and arg & 1:
             scal, arg = commute_phase_past_lim(arg, bit, lim)
             if scal:
                 lim = lim_scale(store.ops, store.ops.omega(scal), lim)
         elif name == "proj":  # P_v X = X P_(1-v); Z commutes
             arg ^= (lim.string.x >> bit) & 1
         else:
-            lim = conjugate_lim(store.ops, lim, name, (bit,))
+            lim = conjugate_lim(store.ops, lim, _CLIFFORD.get((name, arg), name), (bit,))
         moved.append((name, arg))
     return lim, tuple(moved)
 
@@ -333,9 +340,11 @@ def _ccx_at(store: DDStore, node, bits, arg) -> Edge:
 
 _AT_LEVEL = {"cz": _cz_at, "cx": _cx_at, "swap": _swap_at, "ccx": _ccx_at}
 
-# The run step of each single-qubit gate.
+# The run step of each single-qubit gate, and the Clifford gate of each diag
+# step of even octant (s, z, sdg).
 _STEP = {"h": ("h", 0), "x": ("x", 0), "y": ("y", 0)}
 _STEP.update((kind, ("diag", p)) for kind, p in DIAG_OCTANT.items())
+_CLIFFORD = {_STEP[kind]: kind for kind in ("s", "z", "sdg")}
 
 
 def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> Edge:
@@ -344,7 +353,7 @@ def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> 
     ``gate_support`` raises ``ValueError``: the kind must be known and take
     as many distinct integer positions in [0, n) as ``bits`` holds."""
     gate = (kind, tuple(bits))
-    _, op = next(_operations((gate,), edge.lim.string.n, store.mode == "limdd", False))
+    op = next(_operations((gate,), edge.lim.string.n, store.mode == "limdd", False))
     if op[0] in ("x", "y", "z"):  # limdd
         return _apply_pauli(store, edge, kind, op[1][0])
     return _apply(store, edge, op)
@@ -355,43 +364,34 @@ def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> 
 
 def _operations(gates, n: int, limdd: bool, fuse: bool):
     """The gates, ``(kind, bits)`` pairs on internal positions that must
-    pass ``gate_support``, as top-level operations ``(i, (kind, bits,
-    arg))``, i being the index of the last gate the operation holds.
+    pass ``gate_support``, as top-level operations ``(kind, bits, arg)``.
 
     With ``fuse``, single-qubit gates wait, one list of steps per qubit in
     which adjacent diag steps add their octants (a qubit whose steps cancel
     drops out), and all that wait leave together as one ``run`` over their
-    qubits.  They leave before a multi-qubit gate that touches a waiting
-    qubit, and at the end; a multi-qubit gate on other qubits commutes with
-    them and leaves first.  In limdd a run holds one qubit (see the module
-    docstring), so the steps waiting on one qubit leave before any gate on
-    another, multi-qubit gates included, as waiting across those saves a
-    one-qubit run little and changes the intermediate states.  The
-    exception is a limdd Pauli (a label multiply) on a qubit with no
-    waiting steps, which leaves first; on a waiting qubit it joins the
-    steps.  So operations can leave in another order than their gates, and
-    their i values need not increase.  Without ``fuse`` nothing waits:
-    every gate is one operation, in circuit order, and the operation is
-    gate i.  The kinds other than ``run`` keep their gate name, and cz, swap
-    and ccx take the higher of their first two bits first."""
+    qubits, in both modes.  They leave before a multi-qubit gate that
+    touches a waiting qubit, and at the end; a multi-qubit gate on other
+    qubits commutes with them and leaves first.  The exception is a limdd
+    Pauli (a label multiply) on a qubit with no waiting steps, which leaves
+    first; on a waiting qubit it joins the steps.  So operations can leave
+    in another order than their gates.  Without ``fuse`` nothing waits:
+    every gate is one operation, in circuit order.  The kinds other than
+    ``run`` keep their gate name, and cz, swap and ccx take the higher of
+    their first two bits first."""
     waiting: dict[int, list] = {}
-    last = -1
-    for i, (kind, bits) in enumerate(gates):
+    for kind, bits in gates:
         gate_support(kind, bits, n)
         step = _STEP.get(kind)
         if step is None or (limdd and kind in ("x", "y", "z") and bits[0] not in waiting):
-            if step is None and waiting and (limdd or not waiting.keys().isdisjoint(bits)):
-                yield last, _run_of(waiting)
+            if step is None and not waiting.keys().isdisjoint(bits):
+                yield _run_of(waiting)
                 waiting = {}
             if kind in ("cz", "swap", "ccx"):
                 bits = (max(bits[:2]), min(bits[:2])) + bits[2:]
-            yield i, (kind, bits, 0)
+            yield kind, bits, 0
         elif not fuse:
-            yield i, ("run", bits, ((step,),))
+            yield "run", bits, ((step,),)
         else:
-            if limdd and waiting and bits[0] not in waiting:
-                yield last, _run_of(waiting)
-                waiting = {}
             steps = waiting.setdefault(bits[0], [])
             if step[0] == "diag" and steps and steps[-1][0] == "diag":
                 p = (steps.pop()[1] + step[1]) % 8
@@ -401,9 +401,8 @@ def _operations(gates, n: int, limdd: bool, fuse: bool):
                     del waiting[bits[0]]
             else:
                 steps.append(step)
-            last = i
     if waiting:
-        yield last, _run_of(waiting)
+        yield _run_of(waiting)
 
 
 def _run_of(waiting: dict[int, list]) -> tuple:
@@ -460,10 +459,9 @@ def simulate(
     ``circuit`` needs ``n_qubits`` and ``gates`` attributes.  Each gate is
     one diagram operation, cx and ccx included, except that single-qubit
     gates wait and leave together as one operation over all their qubits,
-    before the next multi-qubit gate that touches one of those qubits (see
-    ``_operations``; in limdd a run holds one qubit and leaves before any
-    gate on another), so gates on disjoint qubits may be applied out of
-    circuit order.  ``RunStats.ops_applied`` counts these operations,
+    in both modes, before the next multi-qubit gate that touches one of
+    those qubits (see ``_operations``), so gates on disjoint qubits may be
+    applied out of circuit order.  ``RunStats.ops_applied`` counts these operations,
     and ``peak_nodes`` and ``gc_runs`` see the state only between them.
     ``RunStats.counts`` counts the compiled primitive set of
     ``compile_gate`` (27 primitives per ccx).  Either check turns fusion
@@ -492,7 +490,7 @@ def simulate(
     limdd = store.mode == "limdd"
     fuse = not (check_coeffs or check_bounds)
     gates = ((g.kind, tuple(n - 1 - q for q in g.qubits)) for g in circuit.gates)
-    for i, op in _operations(gates, n, limdd, fuse):
+    for i, op in enumerate(_operations(gates, n, limdd, fuse)):
         kind, bits, _ = op
         if kind in PRIMITIVE_KINDS:  # cz, swap and the limdd Paulis
             root = apply_gate(store, root, kind, bits)

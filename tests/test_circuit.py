@@ -205,6 +205,9 @@ def test_gen_random_caps_and_determinism():
         gen_random(2, -1, seed=1)
     with pytest.raises(ValueError):
         gen_random(1, 5, seed=1, kinds=("cx",))  # nothing fits one qubit
+    for ceilings in ({"max_t": -2}, {"max_h": -1}):
+        with pytest.raises(ValueError):
+            gen_random(3, 10, seed=1, **ceilings)
 
 
 # -- dense reference -------------------------------------------------------

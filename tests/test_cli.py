@@ -333,3 +333,7 @@ def test_bench_usage_errors(capsys):
     assert main(["bench", "wstate", "--sizes", "2", "--seeds", "0"]) == 1
     assert main(["bench", "wstate", "--sizes", "3"]) == 1  # not a power of two
     capsys.readouterr()
+    assert main(["bench", "random", "--sizes", "3", "--depth", "10", "--max-t", "-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: gate ceilings")
+    assert captured.err.count("\n") == 1

@@ -768,12 +768,12 @@ def test_collect_keeps_only_live_child_pairs():
     store.check_invariants(kept.root)
 
 # (final_nodes, peak_nodes, gc_runs) on exact coefficients with gc_capacity=64.
-# The collector runs only between operations, so an evdd run over many qubits
+# The collector runs only between operations, so a run over many qubits
 # leaves more garbage behind than one gate does and can raise the peak.
 GC_PINNED = {
     ("limdd", "wstate-32"): (63, 168, 36),
     ("evdd", "wstate-32"): (64, 186, 45),
-    ("limdd", "grover-6"): (16, 72, 21),
+    ("limdd", "grover-6"): (16, 85, 12),
     ("evdd", "grover-6"): (16, 77, 24),
 }
 

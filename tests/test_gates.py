@@ -224,7 +224,7 @@ def test_both_apply_gate_entry_points_share_one_contract():
                 apply_gate(store, root, kind, bits)
         for kind in ("cx", "ccx"):
             for bits in itertools.permutations(range(3), GATE_ARITY[kind]):
-                ((_, op),) = gates._operations(((kind, bits),), 3, mode == "limdd", False)
+                (op,) = gates._operations(((kind, bits),), 3, mode == "limdd", False)
                 assert apply_gate(store, root, kind, bits) == _apply(store, root, op)
 
 
@@ -718,12 +718,10 @@ def test_fused_runs_match_per_gate_application(mode, backend, norm_rule):
     """simulate fuses single-qubit gates; a per-gate check turns that off,
     so the checked run is the unfused reference.  The layered circuits add
     layers over several qubits, limdd Paulis inside runs and on idle qubits,
-    and evdd runs that let a multi-qubit gate on other qubits pass; in evdd,
-    where a run spans a layer, their runs must at least halve the
-    operations."""
-    layered = 2 if mode == "evdd" else 1
+    and runs that let a multi-qubit gate on other qubits pass; since a run
+    spans a layer, their runs must at least halve the operations."""
     for circuits, ratio in (
-        (_run_rich_circuits(12, seed=2718), 1), (_layered_circuits(10, seed=1618), layered),
+        (_run_rich_circuits(12, seed=2718), 1), (_layered_circuits(10, seed=1618), 2),
     ):
         fused_ops = ref_ops = 0
         for circ in circuits:
@@ -746,10 +744,11 @@ def test_fused_runs_match_per_gate_application(mode, backend, norm_rule):
         assert ratio * fused_ops < ref_ops
 
 
-# Operations of simulate.  A limdd run holds one qubit (see _operations).
+# Operations of simulate.  A limdd run spans a layer as an evdd run does, but
+# limdd Paulis on idle qubits stay label multiplies of their own.
 OPS_CEILINGS = {
-    ("limdd", "grover"): 41, ("evdd", "grover"): 17,
-    ("limdd", "random"): 77, ("evdd", "random"): 34,
+    ("limdd", "grover"): 25, ("evdd", "grover"): 17,
+    ("limdd", "random"): 55, ("evdd", "random"): 34,
 }
 
 
@@ -762,26 +761,27 @@ def test_single_qubit_layers_are_one_operation(mode):
     n = 12
     layer = Circuit(n, tuple(GateInstance("h", (q,)) for q in range(n)))
     state, run = simulate(layer, mode=mode)
-    assert run.ops_applied == (1 if mode == "evdd" else n)
+    assert run.ops_applied == 1
     assert state.to_vector() == dense_simulate(layer)
 
 
 def test_limdd_runs_do_not_multiply_descents():
     """h on the lower half, cx from each lower qubit to its partner in the
-    upper half, then s on every qubit: a Clifford state of width 1 whose
-    node at the middle level is reached under 2**m labels.  A run over the
-    s layer would be moved past each of them into a different operation,
-    2**m descents of that node; one run per qubit keeps the descents of
-    the per-gate run."""
+    upper half, then s, or t, on every qubit: a state of width 1 whose
+    node at the middle level is reached under 2**m labels.  The s layer is
+    one run that conjugates each label and stays one operation, so each
+    node is descended once.  The t layer meets an X in those labels and
+    would become 2**m different runs; it falls back to one bit at a time
+    from each such edge, which keeps the descents of the per-gate runs."""
     m = 16
     n = 2 * m
-    circuit = Circuit(n, tuple(
-        [GateInstance("h", (q,)) for q in range(m)]
-        + [GateInstance("cx", (q, m + q)) for q in range(m)]
-        + [GateInstance("s", (q,)) for q in range(n)]
-    ))
 
-    def descents(**checks):
+    def descents(layer, **checks):
+        circuit = Circuit(n, tuple(
+            [GateInstance("h", (q,)) for q in range(m)]
+            + [GateInstance("cx", (q, m + q)) for q in range(m)]
+            + [GateInstance(layer, (q,)) for q in range(n)]
+        ))
         store = DDStore(mode="limdd")
         total = 0
         clear = store.clear_op_caches
@@ -796,7 +796,8 @@ def test_limdd_runs_do_not_multiply_descents():
         assert max(run.width_per_level) == 1
         return total
 
-    assert descents() <= descents(check_bounds=True)
+    for layer in ("s", "t"):
+        assert descents(layer) <= descents(layer, check_bounds=True), layer
 
 
 @pytest.mark.parametrize("mode", ["limdd", "evdd"])
