@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, isfinite, lcm
+from math import copysign, gcd, isfinite, lcm
 
 class RingValue:
     """One exact coefficient ``(a + b*sqrt2 + c*i + d*i*sqrt2) / den``."""
@@ -391,6 +391,10 @@ class ExactOps:
     def key(x: RingValue) -> RingValue:
         return x
 
+    # Ring values are equal only when every component is, so the value is
+    # its own key in a memo of results computed from it.
+    memo_key = key
+
     argmin_key = staticmethod(cmp_to_key(_argmin_cmp))
 
     @staticmethod
@@ -468,6 +472,13 @@ class FloatOps:
             return (x.real, x.imag)
         g = self.tolerance
         return (round(x.real / g), round(x.imag / g))
+
+    @staticmethod
+    def memo_key(x: complex) -> tuple:
+        """A key for a memo of results computed from x.  ``-0.0 == 0.0``,
+        yet results from the two can differ in the sign of a zero part, so
+        the key keeps the signs of both parts."""
+        return (x, copysign(1.0, x.real), copysign(1.0, x.imag))
 
     @staticmethod
     def argmin_key(x: complex):

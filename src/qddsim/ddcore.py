@@ -11,9 +11,15 @@ by a Pauli with a phase share one node.  Each node's group is cached as an
 echelon basis of integer-phase rows from the ``pauli`` group kernel; the
 double-coset and coset minimizations reduce against those bases and touch
 the scalar ring once, at the end.  The joint basis of a child pair is built
-once and serves both the high label and the parent's group.  Children that a
-stored node already holds are canonical, so ``make_edge`` returns that node
-without canonicalizing them again.
+once and serves both the high label and the parent's group.  Group work runs
+only for a label whose Pauli string is not the identity: the identity's key,
+0, is already the least of every coset, so such a label builds no group and
+no joint basis in ``_get_labels``, and ``_coset_min`` returns it as it is.
+The scalar choice for equal children depends on that scalar alone, so
+``self_pair_memo`` holds it per store, keyed by the backend's ``memo_key``
+(which tells a float zero part's sign apart), until the next collection.
+Children that a stored node already holds are canonical, so ``make_edge``
+returns that node without canonicalizing them again.
 
 Every zero edge, a node's zero child included, is ``zero_edge(level)``: the
 backend zero as factor, the identity string (whose length carries the
@@ -129,6 +135,8 @@ class DDStore:
         self.op_cache: dict[tuple, Edge] = {}
         self.stab_cache: dict[int, Basis] = {0: ()}
         self.joint_cache: dict[tuple[int, int], tuple] = {}
+        # ``_self_pair_choice`` by ``ops.memo_key`` of its lam.
+        self.self_pair_memo: dict[object, tuple] = {}
         self._identities: dict[int, PauliLIM] = {}
         self._zeros: dict[int, Edge] = {}
         self.snorm_cache: dict[int, object] = {}
@@ -298,38 +306,45 @@ class DDStore:
         children's stabilizer groups: v0's cached rows seed a joint basis,
         v1's rows are reduced into it, the key of a_hat is cleared top down,
         and only then are the rows used multiplied, with phases kept as
-        powers of i.  Stage 2 sweeps a top-qubit Z flip and, when both
-        children coincide, a top-qubit X swap, and keeps the scalar the
-        backend ranks smallest.
+        powers of i.  An identity string is already least, so stage 1 then
+        builds no group or joint basis and leaves the scalar lam as it is.
+        Stage 2 sweeps a top-qubit Z flip and, when both children coincide,
+        a top-qubit X swap, and keeps the scalar the backend ranks smallest.
+        With coinciding children that choice, an inversion and two ranked
+        comparisons, depends on lam alone; ``self_pair_memo`` holds it.
         """
         ops = self.ops
         s = a_hat.string
         m = s.n
-        basis0, basis1 = self.stab_gens(v0), self.stab_gens(v1)
-        rows, _ = self._joint(v0, basis0, v1, basis1)
-        key = string_key(s.x, s.z)
-        used = 0
-        for row_key, mask in rows:
-            if key ^ row_key < key:
-                key ^= row_key
-                used ^= mask
-        n0 = len(basis0)
-        g0 = combine(basis0, used & ((1 << n0) - 1))
-        g1 = combine(basis1, used >> n0)
-        k, px, pz = row_mul(g0, row_mul((0, s.x, s.z), g1))
-        lam = times_i(ops, a_hat.factor, k)
+        if s.x or s.z:
+            basis0, basis1 = self.stab_gens(v0), self.stab_gens(v1)
+            rows, _ = self._joint(v0, basis0, v1, basis1)
+            key = string_key(s.x, s.z)
+            used = 0
+            for row_key, mask in rows:
+                if key ^ row_key < key:
+                    key ^= row_key
+                    used ^= mask
+            n0 = len(basis0)
+            g0 = combine(basis0, used & ((1 << n0) - 1))
+            g1 = combine(basis1, used >> n0)
+            k, px, pz = row_mul(g0, row_mul((0, s.x, s.z), g1))
+            lam = times_i(ops, a_hat.factor, k)
+        else:
+            # Key 0 is already the least of its double coset.
+            g0, px, pz, lam = (0, 0, 0), 0, 0, a_hat.factor
 
-        # lam and -lam tie on magnitude and on absolute components, so the
-        # sign alone decides between them.
-        s_bit = ops.leads_negative(lam)
-        mu = ops.neg(lam) if s_bit else lam
-        x_bit = False
         if v0 is v1:
-            inv_lam = ops.inv(lam)
-            inv_neg = ops.leads_negative(inv_lam)
-            inv_mu = ops.neg(inv_lam) if inv_neg else inv_lam
-            if ops.argmin_key(inv_mu) < ops.argmin_key(mu):
-                x_bit, s_bit, mu = True, inv_neg, inv_mu
+            memo_key = ops.memo_key(lam)
+            choice = self.self_pair_memo.get(memo_key)
+            if choice is None:
+                choice = self.self_pair_memo[memo_key] = self._self_pair_choice(lam)
+            x_bit, s_bit, mu = choice
+        else:
+            # lam and -lam tie on magnitude and on absolute components, so
+            # the sign alone decides between them.
+            x_bit, s_bit = False, ops.leads_negative(lam)
+            mu = ops.neg(lam) if s_bit else lam
 
         # g0 is a product of commuting +/-1 stabilizers, so it is its own
         # inverse.
@@ -350,6 +365,19 @@ class DDStore:
             PauliLIM(one if mu == one else mu, PauliString(m, px, pz)),
             PauliLIM(one if factor == one else factor, PauliString(m + 1, x, z)),
         )
+
+    def _self_pair_choice(self, lam: object) -> tuple[bool, bool, object]:
+        """Stage 2 of ``_get_labels`` for equal children: the X swap and Z
+        flip bits, and the least of lam, -lam, 1/lam and -1/lam."""
+        ops = self.ops
+        s_bit = ops.leads_negative(lam)
+        mu = ops.neg(lam) if s_bit else lam
+        inv_lam = ops.inv(lam)
+        inv_neg = ops.leads_negative(inv_lam)
+        inv_mu = ops.neg(inv_lam) if inv_neg else inv_lam
+        if ops.argmin_key(inv_mu) < ops.argmin_key(mu):
+            return True, inv_neg, inv_mu
+        return False, s_bit, mu
 
     # -- stabilizer groups -------------------------------------------------
 
@@ -494,6 +522,8 @@ class DDStore:
         """Minimal-string representative of c * <Stab(w)>; unique because a
         stabilizer group holds at most one member per string."""
         s = c.string
+        if not (s.x or s.z):
+            return c
         basis = self.stab_gens(w)
         _, used = reduce_key(basis, string_key(s.x, s.z))
         k, x, z = row_mul((0, s.x, s.z), combine(basis, used))
@@ -586,6 +616,8 @@ class DDStore:
             k: v for k, v in self.joint_cache.items() if k[0] in live and k[1] in live
         }
         self.snorm_cache = {k: v for k, v in self.snorm_cache.items() if k in live}
+        # Float runs add an entry for almost every equal-children label.
+        self.self_pair_memo.clear()
         self.gc_runs += 1
         return dropped
 

@@ -5,15 +5,19 @@ norm of a node is just the sum over its children, cached per node.  The
 marginal of any qubit is one memoized pass over those norms: each node
 splits its squared norm by the qubit's value, and a label with an X at the
 qubit swaps the two parts.  No gate runs and no node is built.  Exact
-probabilities are ratios of ring values; sampling compares them against a
-uniform draw through Decimal arithmetic so the exact backend never rounds
-through binary floating point.  ``collapse`` projects the root with the
-same projection the native cx and swap use.
+probabilities are ratios of ring values.  Sampling compares the Decimal of
+a uniform draw's ``repr`` with the probability, so the exact backend never
+rounds through binary floating point; that comparison is turned once per
+call into a float threshold, so a shot is one float comparison.
+``collapse`` projects the root with the same projection the native cx and
+swap use.
 """
 from __future__ import annotations
 
 import random
 from decimal import Decimal
+from math import inf, nextafter
+from numbers import Integral
 
 from .coeff import RingValue, real_decimal
 from .ddcore import DDStore, Edge, State
@@ -95,17 +99,34 @@ def sample(state: State, qubit: int = 0, rng: random.Random | int | None = None)
     return sample_counts(state, qubit, 1, rng)[1]
 
 
+def _least_float_at_least(p: Decimal) -> float:
+    """The least float t with ``Decimal(repr(t)) >= p``.  ``repr`` is
+    strictly increasing on floats, so for every float u,
+    ``Decimal(repr(u)) >= p`` exactly when ``u >= t``.  ``float(p)`` is the
+    float nearest p, so the search steps at most a few floats from it."""
+    t = float(p)
+    if Decimal(repr(t)) >= p:
+        while Decimal(repr(below := nextafter(t, -inf))) >= p:
+            t = below
+    else:
+        while Decimal(repr(t)) < p:
+            t = nextafter(t, inf)
+    return t
+
+
 def sample_counts(
     state: State, qubit: int = 0, shots: int = 1, rng: random.Random | int | None = None
 ) -> tuple[int, int]:
     """(zeros, ones) over ``shots`` draws.  The probability is computed once;
-    each shot reads 1 when its uniform draw is not below p0."""
-    if shots < 0:
-        raise ValueError(f"shots must not be negative, got {shots}")
+    each shot reads 1 when the Decimal of its uniform draw's ``repr`` is not
+    below p0, which ``_least_float_at_least`` makes one float comparison."""
+    if not (isinstance(shots, Integral) and shots >= 0):
+        raise ValueError(f"shots must be a non-negative integer, got {shots!r}")
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
-    p0 = probability_as_decimal(measurement_probability(state, qubit))
-    ones = sum(Decimal(repr(rng.random())) >= p0 for _ in range(shots))
+    t = _least_float_at_least(probability_as_decimal(measurement_probability(state, qubit)))
+    draw = rng.random
+    ones = sum(draw() >= t for _ in range(shots))
     return shots - ones, ones
 
 

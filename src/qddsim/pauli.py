@@ -182,9 +182,13 @@ class PauliLIM(NamedTuple):
 
 
 def lim_mul(ops: ScalarOps, l1: PauliLIM, l2: PauliLIM) -> PauliLIM:
-    """Operator product: ``row_mul`` of the strings, its power of i folded
-    into the product of the factors."""
+    """Operator product of two labels of one width: ``row_mul`` of the
+    strings, its power of i folded into the product of the factors.  A left
+    factor with the identity string, as every EVDD label has, only scales
+    the right one."""
     s1, s2 = l1.string, l2.string
+    if not (s1.x or s1.z):
+        return PauliLIM(ops.mul(l1.factor, l2.factor), s2)
     k, x, z = row_mul((0, s1.x, s1.z), (0, s2.x, s2.z))
     return PauliLIM(times_i(ops, ops.mul(l1.factor, l2.factor), k), PauliString(s1.n, x, z))
 
@@ -208,11 +212,13 @@ def row_lim_mul(ops: ScalarOps, row: Row, lim: PauliLIM) -> PauliLIM:
 
 
 def lim_div(ops: ScalarOps, den: PauliLIM, num: PauliLIM) -> PauliLIM:
-    """den**-1 * num, with one ring division for the factors."""
+    """den**-1 * num, with one ring division for the factors; a
+    denominator with the identity string changes only the factor."""
     d = den.string
-    return row_lim_mul(
-        ops, (0, d.x, d.z), PauliLIM(ops.div(num.factor, den.factor), num.string)
-    )
+    quotient = PauliLIM(ops.div(num.factor, den.factor), num.string)
+    if not (d.x or d.z):
+        return quotient
+    return row_lim_mul(ops, (0, d.x, d.z), quotient)
 
 
 def lim_scale(ops: ScalarOps, scalar: object, lim: PauliLIM) -> PauliLIM:

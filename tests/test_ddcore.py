@@ -616,6 +616,7 @@ scale_st = st.sampled_from([ONE, RingValue(2), RingValue(F(1, 3)), SQRT2 + ONE,
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 3), st.integers(0, 1 << 30), scale_st, st.integers(0, 7),
        st.integers(0, 7), st.integers(0, 7))
+@example(2, 7, SQRT2 + ONE, 3, 0, 0)  # the identity string: c itself, no group built
 def test_coset_min_is_least_member_of_coset(n, seed, scale, e, x, z):
     store = fresh("limdd")
     w, vec = _root_node(store, n, seed)
@@ -625,20 +626,30 @@ def test_coset_min_is_least_member_of_coset(n, seed, scale, e, x, z):
     least = _min_string(coset)
     want = [l for l in coset if string_key(l.string.x, l.string.z) == least]
     assert len(want) == 1  # one member per string
-    assert store._coset_min(c, w) == want[0]
+    store.stab_cache = {0: ()}
+    got = store._coset_min(c, w)
+    assert got == want[0]
+    if c.string.is_identity():
+        assert got is c and store.stab_cache == {0: ()}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 3), st.integers(0, 1 << 30), st.integers(0, 1 << 30), st.booleans(),
        scale_st, st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))
 @example(2, 22, 0, False, ONE, 0, 2, 1)  # g0 = -1 * (a two-qubit string): root sign -1
+# the identity string is the least of its double coset, so no group is built
+@example(3, 22, 5, False, SQRT2 + ONE, 3, 0, 0)
+@example(2, 9, 0, True, RingValue(F(1, 2), F(1, 2)), 5, 0, 0)
 def test_get_labels_matches_brute_force(n, seed0, seed1, same, scale, e, x, z):
     store = fresh("limdd")
     v0, vec0 = _root_node(store, n, seed0)
     v1, vec1 = (v0, vec0) if same else _root_node(store, n, seed1)
     mask = (1 << n) - 1
     a_hat = PauliLIM(scale * omega_power(e), PauliString(n, x & mask, z & mask))
+    store.stab_cache, store.joint_cache = {0: ()}, {}
     c_hat, root = store._get_labels(a_hat, v0, v1, store.identity_lim(n))
+    if a_hat.string.is_identity():
+        assert store.stab_cache == {0: ()} and not store.joint_cache
     # stage 1: every g0 * a_hat * g1, kept at the least string
     products = [lim_mul(EXACT_OPS, g0, lim_mul(EXACT_OPS, a_hat, g1))
                 for g0 in _group_lims(vec0) for g1 in _group_lims(vec1)]
@@ -654,6 +665,29 @@ def test_get_labels_matches_brute_force(n, seed0, seed1, same, scale, e, x, z):
     node = store._make_node(n + 1, Edge(store.identity_lim(n), v0), Edge(c_hat, v1))
     twisted = Edge(a_hat, v1)
     assert edge_vec(store, Edge(root, node)) == vec0 + edge_vec(store, twisted)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_self_pair_memo_hit_equals_a_fresh_store(backend):
+    """Stage 2 for equal children is memoized per store by its lam.  A hit
+    gives what a store that never saw that lam computes, down to the sign
+    of a zero part: -0.0 == 0.0, so float lams that differ only there must
+    be keyed apart."""
+    policy = CoeffPolicy(backend)
+    if backend == "exact":
+        lams = [omega_power(e) * s for e in range(8) for s in (ONE, SQRT2, RingValue(F(1, 3)))]
+    else:
+        lams = [complex(a, b) for a in (0.0, -0.0, 0.5, -2.0)
+                for b in (0.0, -0.0, -1.0, 0.25) if a or b]
+
+    def labels(store, lam, x):
+        node = simulate(gen_random(3, 12, seed=4, max_t=1), store=store)[0].root.node
+        a_hat = PauliLIM(lam, PauliString(3, x, x >> 1))
+        return repr(store._get_labels(a_hat, node, node, store.identity_lim(3)))
+
+    shared = DDStore(policy)
+    for lam, x in itertools.product(lams + lams, (0, 5)):
+        assert labels(shared, lam, x) == labels(DDStore(policy), lam, x), (lam, x)
 
 
 # -- canonicity ----------------------------------------------------------------

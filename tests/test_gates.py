@@ -534,8 +534,15 @@ def test_identity_label_passes_the_node_result_through(mode, backend):
 # Calls during exact-LIMDD simulate(gen_wstate(8)) before the fast paths for
 # stored children, identity labels, unit ring operands and the per-pair joint
 # basis went in: 1057, 216 and 313; before runs of single-qubit gates were
-# fused: 193, 158 and 117.
-WSTATE8_CALL_CEILINGS = {"mul": 174, "labels": 97, "joint": 70}
+# fused: 193, 158 and 117.  Ring multiplies and divisions before labels
+# with the identity string skipped the group work and the general label
+# product and quotient, and before the equal-children scalar choice was
+# memoized: 162 and 65.
+WSTATE8_CALL_CEILINGS = {"mul": 134, "div": 37, "labels": 97, "joint": 70}
+# Stabilizer groups built by elimination and joint bases during exact-LIMDD
+# simulate(gen_grover(3, 5)) before labels with the identity string skipped
+# the group work: 23 and 22.
+GROVER3_CALL_CEILINGS = {"groups": 19, "joint": 14}
 
 
 def _call_counter(counts: dict):
@@ -547,19 +554,38 @@ def _call_counter(counts: dict):
     return counted
 
 
-def test_wstate8_call_counts_stay_at_their_ceilings(monkeypatch):
-    """A lost fast path shows here as more ring multiplies, label
-    canonicalizations or joint bases."""
+def _limdd_call_counts(monkeypatch, circuit) -> dict:
+    """Calls during exact-LIMDD ``simulate(circuit)``: ring multiplies and
+    divisions, label canonicalizations, stabilizer groups built by
+    elimination and joint bases.  The final state is checked afterwards."""
     from qddsim import coeff, ddcore
 
-    counts = dict.fromkeys(WSTATE8_CALL_CEILINGS, 0)
+    counts = dict.fromkeys(("mul", "div", "labels", "groups", "joint"), 0)
     counted = _call_counter(counts)
     monkeypatch.setattr(coeff.RingValue, "__mul__", counted("mul", coeff.RingValue.__mul__))
+    monkeypatch.setattr(coeff.RingValue, "__truediv__",
+                        counted("div", coeff.RingValue.__truediv__))
     monkeypatch.setattr(DDStore, "_get_labels", counted("labels", DDStore._get_labels))
+    monkeypatch.setattr(ddcore, "echelon", counted("groups", ddcore.echelon))
     monkeypatch.setattr(ddcore, "joint_echelon", counted("joint", ddcore.joint_echelon))
-    state, _ = simulate(gen_wstate(8))
-    assert all(counts[k] <= WSTATE8_CALL_CEILINGS[k] for k in counts), counts
+    state, _ = simulate(circuit)
+    out = dict(counts)
     state.check()
+    return out
+
+
+def test_wstate8_call_counts_stay_at_their_ceilings(monkeypatch):
+    """A lost fast path shows here as more ring multiplies or divisions,
+    label canonicalizations or joint bases."""
+    counts = _limdd_call_counts(monkeypatch, gen_wstate(8))
+    assert all(counts[k] <= v for k, v in WSTATE8_CALL_CEILINGS.items()), counts
+
+
+def test_grover3_label_group_counts_stay_at_their_ceilings(monkeypatch):
+    """Group work run for a label with the identity string shows here as
+    more stabilizer groups or joint bases."""
+    counts = _limdd_call_counts(monkeypatch, gen_grover(3, 5))
+    assert all(counts[k] <= v for k, v in GROVER3_CALL_CEILINGS.items()), counts
 
 
 # Python-level calls during exact-EVDD simulate(gen_wstate(8)) before unit

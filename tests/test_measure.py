@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import random
-from decimal import Decimal
+import re
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from math import inf, nextafter
 
 import pytest
 
@@ -12,6 +14,7 @@ from qddsim.coeff import INV_SQRT2, ONE, ZERO, CoeffPolicy, RingValue
 from qddsim.ddcore import DDStore, State
 from qddsim.measure import (
     ZeroStateError,
+    _least_float_at_least,
     collapse,
     measure_qubit,
     measurement_probability,
@@ -147,8 +150,36 @@ def test_sample_counts_shape_and_distribution():
     # frozen regression for the fixed seed
     assert (zeros, ones) == (1498, 502)
     assert sample_counts(state, 0, shots=0) == (0, 0)
-    with pytest.raises(ValueError):
-        sample_counts(state, 0, shots=-5)
+    for shots in (-5, 2.5, "3", None):
+        with pytest.raises(ValueError, match=re.escape(repr(shots))):
+            sample_counts(state, 0, shots=shots)
+
+
+def _decimal_rule_threshold_holds(p0: Decimal, t: float) -> bool:
+    """Whether t is the least float u with Decimal(repr(u)) >= p0, checked
+    on t's two neighbours either side."""
+    below = nextafter(t, -inf)
+    around = [nextafter(below, -inf), below, t, nextafter(t, inf)]
+    around.append(nextafter(around[-1], inf))
+    return all((u >= t) == (Decimal(repr(u)) >= p0) for u in around) and (
+        Decimal(repr(t)) >= p0 > Decimal(repr(below))
+    )
+
+
+def test_sample_threshold_matches_the_decimal_rule():
+    rng = random.Random(31)
+    probes = [Decimal(0), Decimal(1), Decimal("1.000000000000000000000000000001"),
+              Decimal("-1E-30"), Decimal("1E-400")]
+    for _ in range(300):
+        probes.append(probability_as_decimal(RingValue(F(rng.randrange(1, 1 << 40),
+                                                         rng.randrange(1 << 40, 1 << 41)),
+                                                       F(rng.randrange(-99, 99), 997))))
+        u = Decimal(repr(rng.random()))
+        with localcontext() as ctx:
+            ctx.prec = 80  # the neighbours must not round back to u
+            probes += [u - Decimal("1E-40"), u, u + Decimal("1E-40")]
+    for p0 in probes:
+        assert _decimal_rule_threshold_holds(p0, _least_float_at_least(p0)), p0
 
 
 def test_sample_counts_matches_per_shot_draws():

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qddsim.coeff import EXACT_OPS, I_UNIT, MINUS_ONE, ONE, omega_power
+from qddsim.coeff import EXACT_OPS, I_UNIT, MINUS_ONE, ONE, FloatOps, RingValue, omega_power
 from qddsim.pauli import (
     DIAG_OCTANT,
     PauliLIM,
@@ -21,11 +22,14 @@ from qddsim.pauli import (
     echelon,
     follow_basis,
     joint_echelon,
+    lim_div,
     lim_inverse,
     lim_mul,
     reduce_key,
+    row_lim_mul,
     row_mul,
     string_key,
+    times_i,
 )
 
 OPS = EXACT_OPS
@@ -148,6 +152,31 @@ def test_lim_inverse():
         prod = lim_mul(OPS, lim, lim_inverse(OPS, lim))
         assert prod.string.is_identity()
         assert prod.factor == ONE
+
+
+@pytest.mark.parametrize("ops", [EXACT_OPS, FloatOps(1e-14)], ids=["exact", "float"])
+def test_identity_string_products_match_the_general_formula(ops):
+    """A left factor (lim_mul) or a denominator (lim_div) with the identity
+    string gives, bit for bit, what the phase rule gives."""
+    rng = random.Random(23)
+
+    def factor():
+        if ops is EXACT_OPS:
+            return omega_power(rng.randrange(8)) * RingValue(F(rng.randrange(1, 50), 7))
+        # zero parts of either sign, which a product can carry
+        return complex(rng.choice([0.0, -0.0, rng.uniform(-2, 2)]), rng.uniform(-2, 2))
+
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        ident = PauliLIM(factor(), PauliString(n, 0, 0))
+        lim = PauliLIM(factor(), PauliString(n, rng.randrange(1 << n), rng.randrange(1 << n)))
+        k, x, z = row_mul((0, 0, 0), (0, lim.string.x, lim.string.z))
+        product = PauliLIM(times_i(ops, ops.mul(ident.factor, lim.factor), k),
+                           PauliString(n, x, z))
+        quotient = row_lim_mul(ops, (0, 0, 0),
+                               PauliLIM(ops.div(lim.factor, ident.factor), lim.string))
+        assert repr(lim_mul(ops, ident, lim)) == repr(product)
+        assert repr(lim_div(ops, ident, lim)) == repr(quotient)
 
 
 # -- group kernel ---------------------------------------------------------------
