@@ -15,7 +15,20 @@ operation past an edge's label, then recurses over hash-consed nodes,
 memoizing each node's result, down to the level of the operation's highest
 bit, where one function per kind other than ``run`` builds the result
 (``_AT_LEVEL``).  A node's result never goes stale because nodes are
-immutable, so the operation cache is cleared only to reclaim memory.
+immutable.
+
+``simulate`` hands its operations to the diagram in segments, each one
+descent with one frame per level (``_apply_segment``).  At a node, the
+segment's operations that act below its level pass to both children
+together, so the levels above an operation's highest bit are rebuilt once
+per segment, not once per operation.  At the level of an operation's
+highest bit, the operations before it go to the children first, that
+operation runs through ``_apply``, and the rest continue from the result
+in the same frame.  Stretches of a segment are memoized per node under
+their places in the segment, so the operation cache is cleared when each
+segment starts.  Segments double in length from one operation, and start
+again at one after a collection or when the unique table has no room for
+about eight more segments growing as the last one did.
 
 Single-qubit gates are one kind, ``run``: its bits run from highest to
 lowest, and its arg holds one tuple of steps per bit, in application order.
@@ -29,8 +42,8 @@ layer of them costs one descent however many gates and qubits it holds.
 Adjacent diag steps on a qubit add their octants.  At the level of its
 top bit, a run applies the rest of itself to both branches and then that
 bit's steps to the pair, all from the one frame of that level.  With
-per-gate checks every gate is its own run, so each check sees the state
-right after its gate.
+per-gate checks every gate is its own run and its own segment, so each
+check sees the state right after its gate.
 cz, cx, swap and ccx take arg 0.  Clifford kinds and steps, the even
 diag octants (s, z, sdg) among them, conjugate the label and stay as
 they are.  Past a label with an X at the bit, an odd diag octant (t,
@@ -41,11 +54,16 @@ several bits that would change is applied one bit at a time from that
 edge instead; every other run keeps one cache entry per node whatever
 the labels.  ccx is not Clifford: past a label P it leaves a Clifford behind,
 ccx P = P C ccx, which the driver applies to the node's result with the
-Clifford kinds.  Identity strings, which include every evdd label, commute
+Clifford kinds.  A segment moves a label through its operations one at a
+time, in order; one that the label would change, as a t/tdg or proj step
+under an X or a ccx with an X on a control or a Z on its target, runs
+alone through ``_apply`` between the parts of the segment before and after
+it.  Identity strings, which include every evdd label, commute
 with everything, and an identity label whose factor is the interned
 ``ops.one`` passes the node's result through unchanged.  In limdd mode a
 Pauli gate on a qubit with no waiting steps is one label multiplication at
-the root; on a qubit with waiting steps it joins them.
+the root, also inside a segment; on a qubit with waiting steps it joins
+them.
 cx with the control above the target flips the target on the control's high
 branch, and ccx with a control on top applies cx on that branch; with the
 target above, and for swap, the branches at the upper level are regrouped
@@ -55,8 +73,10 @@ from __future__ import annotations
 
 import sys
 import time
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .coeff import within_coeff_bound
@@ -192,8 +212,15 @@ def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
         store.op_cache[key] = sub
     for clifford in then:
         sub = _apply(store, sub, clifford)
+    return _under(store, lim, sub)
+
+
+def _under(store: DDStore, lim: PauliLIM, sub: Edge) -> Edge:
+    """The label that an operation was moved past, put back on the
+    operation's result."""
     if store.is_zero(sub):
         return store.zero_edge(lim.string.n)
+    s = lim.string
     if not (s.x or s.z) and lim.factor is store.ops.one:
         return sub
     return Edge(lim_mul(store.ops, lim, sub.lim), sub.node)
@@ -219,6 +246,33 @@ def _run_past_lim(
             lim = conjugate_lim(store.ops, lim, _CLIFFORD.get((name, arg), name), (bit,))
         moved.append((name, arg))
     return lim, tuple(moved)
+
+
+def _label_past(store: DDStore, lim: PauliLIM, op: tuple) -> PauliLIM | None:
+    """The label lim moved right past the operation, op P = P' op, or None
+    when the operation would change on the way: a t/tdg or proj step that
+    meets an X, or a ccx with an X on a control or a Z on its target.  Run
+    steps are followed one at a time, as in ``_run_past_lim``, since an h
+    turns a Z into an X; no ring multiply is spent on an operation that
+    then changes."""
+    kind, bits, _ = op
+    s = lim.string
+    if kind == "ccx":
+        a, b, t = bits
+        return None if ((s.x >> a) | (s.x >> b) | (s.z >> t)) & 1 else lim
+    if kind != "run":
+        return conjugate_lim(store.ops, lim, kind, bits)
+    for bit, steps in zip(bits, op[2]):
+        if not ((s.x | s.z) >> bit) & 1:
+            continue
+        for step in steps:
+            name, arg = step
+            if name == "proj" or name == "diag" and arg & 1:
+                if (lim.string.x >> bit) & 1:
+                    return None
+            else:
+                lim = conjugate_lim(store.ops, lim, _CLIFFORD.get(step, name), (bit,))
+    return lim
 
 
 def _ccx_past_lim(store: DDStore, lim: PauliLIM, bits) -> tuple[PauliLIM, list]:
@@ -345,6 +399,7 @@ _AT_LEVEL = {"cz": _cz_at, "cx": _cx_at, "swap": _swap_at, "ccx": _ccx_at}
 _STEP = {"h": ("h", 0), "x": ("x", 0), "y": ("y", 0)}
 _STEP.update((kind, ("diag", p)) for kind, p in DIAG_OCTANT.items())
 _CLIFFORD = {_STEP[kind]: kind for kind in ("s", "z", "sdg")}
+_PAULIS = ("x", "y", "z")  # the kinds of limdd Pauli operations
 
 
 def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> Edge:
@@ -354,7 +409,7 @@ def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> 
     as many distinct integer positions in [0, n) as ``bits`` holds."""
     gate = (kind, tuple(bits))
     op = next(_operations((gate,), edge.lim.string.n, store.mode == "limdd", False))
-    if op[0] in ("x", "y", "z"):  # limdd
+    if op[0] in _PAULIS:  # limdd
         return _apply_pauli(store, edge, kind, op[1][0])
     return _apply(store, edge, op)
 
@@ -382,7 +437,7 @@ def _operations(gates, n: int, limdd: bool, fuse: bool):
     for kind, bits in gates:
         gate_support(kind, bits, n)
         step = _STEP.get(kind)
-        if step is None or (limdd and kind in ("x", "y", "z") and bits[0] not in waiting):
+        if step is None or (limdd and kind in _PAULIS and bits[0] not in waiting):
             if step is None and not waiting.keys().isdisjoint(bits):
                 yield _run_of(waiting)
                 waiting = {}
@@ -409,6 +464,78 @@ def _run_of(waiting: dict[int, list]) -> tuple:
     """One run of the waiting steps, its bits from highest to lowest."""
     bits = sorted(waiting, reverse=True)
     return ("run", tuple(bits), tuple(tuple(waiting[b]) for b in bits))
+
+
+def _apply_segment(store: DDStore, root: Edge, ops: tuple) -> Edge:
+    """The top-level operations ``ops`` applied to the root in order, in one
+    descent with one frame per level.  ``descend(edge, i, j)`` applies
+    ops[i:j], which all act at or below the edge's top bit.  It moves them
+    past the edge's label in order, up to and including the first one whose
+    highest bit is that top bit, and memoizes what they do to the node
+    under ``(i, end, node.id)``: the ones before pass to both children
+    together, then that one runs through ``_apply``.  The rest continue
+    from the result in a loop in the same frame.  An operation that the
+    label would change (see ``_label_past``) runs alone through ``_apply``
+    between the parts before and after it.  A limdd Pauli is one multiply
+    of the root label between the descents of the parts around it."""
+    n = root.lim.string.n
+    tops = [max(bits) for _, bits, _ in ops]
+    supports = [sum(1 << b for b in bits) for _, bits, _ in ops]
+    at_level: list[list[int]] = [[] for _ in range(n)]
+    for k, top in enumerate(tops):
+        at_level[top].append(k)
+    # Keys name operations by their place in the segment, so no key of an
+    # earlier segment, or of a run that raised part-way, may remain.
+    store.clear_op_caches()
+    cache = store.op_cache
+    is_zero = store.is_zero
+
+    def descend(edge: Edge, i: int, j: int) -> Edge:
+        level = edge.lim.string.n - 1
+        here = at_level[level]
+        while i < j and not is_zero(edge):
+            p = bisect_left(here, i)
+            end = here[p] + 1 if p < len(here) and here[p] < j else j
+            lim = edge.lim
+            s = lim.string
+            if s.x or s.z:
+                k = i
+                while k < end:
+                    if (s.x | s.z) & supports[k]:
+                        moved = _label_past(store, lim, ops[k])
+                        if moved is None:
+                            break
+                        lim, s = moved, moved.string
+                    k += 1
+                if k == i:
+                    edge = _apply(store, edge, ops[i])
+                    i += 1
+                    continue
+                end = k
+            node = edge.node
+            key = (i, end, node.id)
+            sub = cache.get(key)
+            if sub is None:
+                below = end - 1 if tops[end - 1] == level else end
+                if below > i:
+                    sub = store.make_edge(
+                        descend(node.low, i, below), descend(node.high, i, below)
+                    )
+                else:
+                    sub = Edge(store.identity_lim(level + 1), node)
+                if below < end:
+                    sub = _apply(store, sub, ops[below])
+                cache[key] = sub
+            edge = _under(store, lim, sub)
+            i = end
+        return edge
+
+    i = 0
+    for k, (kind, bits, _) in enumerate(ops):
+        if kind in _PAULIS:
+            root = _apply_pauli(store, descend(root, i, k), kind, bits[0])
+            i = k + 1
+    return descend(root, i, len(ops))
 
 
 @dataclass
@@ -461,14 +588,19 @@ def simulate(
     gates wait and leave together as one operation over all their qubits,
     in both modes, before the next multi-qubit gate that touches one of
     those qubits (see ``_operations``), so gates on disjoint qubits may be
-    applied out of circuit order.  ``RunStats.ops_applied`` counts these operations,
-    and ``peak_nodes`` and ``gc_runs`` see the state only between them.
+    applied out of circuit order.  The operations reach the diagram in
+    segments, one descent each (see ``_apply_segment``): a segment is one
+    operation at first, after a collection and when the unique table has
+    no room for about eight more segments growing at the last one's rate,
+    and otherwise twice as long as the one before.
+    ``RunStats.ops_applied`` counts the operations, and ``peak_nodes`` and
+    ``gc_runs`` see the state only between segments.
     ``RunStats.counts`` counts the compiled primitive set of
     ``compile_gate`` (27 primitives per ccx).  Either check turns fusion
-    off, so that it sees the state after every gate.  When ``check_bounds``
-    is set, the stabilizer tableau of ``track``
-    (native ccx) predicts a width ceiling for every gate and the diagram
-    width is compared against it after that gate; ``check_coeffs`` (exact
+    off and makes every segment one gate, so that it sees the state after
+    every gate.  When ``check_bounds`` is set, the stabilizer tableau of
+    ``track`` (native ccx) predicts a width ceiling for every gate and the
+    diagram width is compared against it after that gate; ``check_coeffs`` (exact
     backend only) verifies the label-size bound the same way, counting a
     ccx as the 7 T gates of its network.  The run uses either a fresh
     store, built from ``policy`` and ``mode`` (limdd by default) with the
@@ -490,24 +622,27 @@ def simulate(
     limdd = store.mode == "limdd"
     fuse = not (check_coeffs or check_bounds)
     gates = ((g.kind, tuple(n - 1 - q for q in g.qubits)) for g in circuit.gates)
-    for i, op in enumerate(_operations(gates, n, limdd, fuse)):
-        kind, bits, _ = op
-        if kind in PRIMITIVE_KINDS:  # cz, swap and the limdd Paulis
-            root = apply_gate(store, root, kind, bits)
-        else:
-            root = _apply(store, root, op)
-        ops_applied += 1
+    operations = _operations(gates, n, limdd, fuse)
+    length = 1
+    while segment := tuple(islice(operations, length)):
+        size = len(store.unique)
+        root = _apply_segment(store, root, segment)
+        ops_applied += len(segment)
+        i = ops_applied - 1  # with checks, the one operation is gate i
         if report is not None:
             levels = Counter(node.level for node in store.reachable([root]).values())
             width = max((m for level, m in levels.items() if level), default=0)
             nullity, local_nullity = report.per_gate[i]
             if width > 1 << (nullity if limdd else local_nullity):
                 bound_ok = False
-        if coeff_ok is True:  # unfused, so the operation is gate i
+        if coeff_ok is True:
             t_seen += GATE_COUNTS[circuit.gates[i].kind][1]
             coeff_ok = verify_coeff_bound(store, root, n, t_seen)
-        store.clear_op_caches()
-        store.maybe_collect([root])
+        grown = len(store.unique) - size
+        collected = store.maybe_collect([root])
+        room = store.gc_capacity - 1 - len(store.unique)
+        length = 2 * length if fuse and not collected and room >= 8 * grown else 1
+    store.clear_op_caches()  # the last segment's memo serves no later call
     stats = store.stats(root, n)
     counts = count_gates(circuit.gates)
     runtime_ms = (time.perf_counter() - t0) * 1000.0

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from qddsim import Circuit, GateInstance, simulate
-from qddsim.coeff import INV_SQRT2, ONE, ZERO, RingValue
+from qddsim.coeff import INV_SQRT2, OMEGA, ONE, ZERO, RingValue
+from qddsim.ddcore import DDStore
 from qddsim.measure import measurement_probability, sample_counts, squared_norm
 
 
@@ -108,3 +109,65 @@ def test_wide_register_runs_end_to_end(mode):
     # One node per level in limdd; evdd keeps the |0...0> and |1...1>
     # branches apart below the top qubit.
     assert run.final_nodes == (n + 1 if mode == "limdd" else 2 * n)
+
+
+def _ghz_ladder(n: int) -> Circuit:
+    """h on the top qubit, cx down the register and t on the bottom qubit:
+    (|0..0> + omega|1..1>)/sqrt2."""
+    return Circuit(n, (GateInstance("h", (0,)),)
+                   + tuple(GateInstance("cx", (q, q + 1)) for q in range(n - 1))
+                   + (GateInstance("t", (n - 1,)),))
+
+
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_cx_ladder_segments_take_one_frame_per_level(mode):
+    """The ladder reaches the diagram in segments of up to 64 operations
+    and more, each one descent; a descent that took a frame per operation
+    of its segment, or two per level, fails under n frames plus a fixed
+    margin."""
+    n = 200
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + n + 40)
+    try:
+        state, run = simulate(_ghz_ladder(n), mode=mode)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert run.ops_applied == n + 1
+    assert state.amplitude(0) == INV_SQRT2
+    assert state.amplitude((1 << n) - 1) == OMEGA * INV_SQRT2
+    assert state.amplitude(1) == state.amplitude(1 << (n - 1)) == ZERO
+    assert run.final_nodes == (n + 1 if mode == "limdd" else 2 * n)
+
+
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_store_reused_after_a_run_raised_gives_exact_results(mode):
+    """A run that raises part-way leaves the memo of its segment behind,
+    keyed by the operations' places in that segment.  Here the segment
+    [h on the bottom qubit, cx up to the top] of ``first`` stores the h on
+    the all-zero state below the top qubit, then runs out of frames in
+    the cx; ``second`` starts on that very node with h and s in the same
+    place, so a memo kept across the two calls would answer its first
+    segment with the h alone."""
+    n = 60
+    g = GateInstance
+    first = Circuit(n, (g("h", (0,)), g("cz", (0, 1)), g("cz", (0, 1)),
+                        g("h", (n - 1,)), g("cx", (n - 1, 0))))
+    second = Circuit(n - 1, (g("h", (n - 2,)), g("s", (n - 2,))))
+    want = simulate(second, mode=mode)[0]
+    raised = 0
+    for margin in range(n - 10, n + 30):
+        store = DDStore(mode=mode)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + margin)
+        try:
+            simulate(first, store=store)
+        except RecursionError:
+            raised += 1
+        else:
+            continue
+        finally:
+            sys.setrecursionlimit(limit)
+        got = simulate(second, store=store)[0]
+        for index in (0, 1, 2):
+            assert got.amplitude(index) == want.amplitude(index), (margin, index)
+    assert raised

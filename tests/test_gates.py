@@ -1,11 +1,9 @@
 """Gate compilation, primitive application, and the circuit driver."""
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import random
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -21,7 +19,7 @@ from qddsim import (
     track,
 )
 from qddsim import gates
-from qddsim.coeff import ONE, ZERO, CoeffPolicy
+from qddsim.coeff import INV_SQRT2, ONE, ZERO, CoeffPolicy
 from qddsim.ddcore import DDStore, Edge
 from qddsim.gates import (
     GATE_ARITY,
@@ -383,21 +381,12 @@ def test_project_matches_dense(mode):
             store.check_invariants(proj)
 
 
-def _tracer_gate_groups() -> dict:
-    """``GATE_GROUPS`` of the benchmark's tracer, read without installing it."""
-    pytest.importorskip("numpy")
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.GATE_GROUPS
-
-
 def test_only_traced_kinds_reach_apply_gate(monkeypatch):
-    """``simulate`` hands ``apply_gate`` no run, cx or ccx, with or without
-    per-gate checks, and measurement never calls it: the benchmark's tracer
-    names each ``apply_gate`` call after its kind from ``GATE_GROUPS``."""
-    groups = _tracer_gate_groups()
+    """``simulate``, with or without per-gate checks, and measurement hand
+    ``apply_gate`` nothing: segments apply every operation, cz, swap and
+    the limdd Paulis included, without it.  So no run, cx or ccx reaches
+    the benchmark's tracer, which names each ``apply_gate`` call after its
+    kind from ``GATE_GROUPS``."""
     real = gates.apply_gate
     seen: list[str] = []
 
@@ -424,8 +413,7 @@ def test_only_traced_kinds_reach_apply_gate(monkeypatch):
                 if backend == "float":
                     collapse(state, q, sample(state, q, rng=q))
                     measure_qubit(state, q, rng=q)
-    assert seen
-    assert set(seen) <= set(groups)
+    assert not seen
 
 
 # -- driver stats ----------------------------------------------------------
@@ -591,8 +579,9 @@ def test_grover3_label_group_counts_stay_at_their_ceilings(monkeypatch):
 # Python-level calls during exact-EVDD simulate(gen_wstate(8)) before unit
 # tests went by identity and ring equality took its typed path: 709, 1104
 # and 229; node keys built before the stored-children probe handed its key
-# on to the node it misses: 354.
-WSTATE8_EVDD_CALL_CEILINGS = {"eq": 65, "hash": 1104, "make_node": 229, "node_key": 290}
+# on to the node it misses: 354; all four before operations were applied
+# in segments, one descent each: 65, 1100, 228 and 289.
+WSTATE8_EVDD_CALL_CEILINGS = {"eq": 54, "hash": 946, "make_node": 199, "node_key": 254}
 
 
 def test_wstate8_evdd_call_counts_stay_at_their_ceilings(monkeypatch):
@@ -609,6 +598,27 @@ def test_wstate8_evdd_call_counts_stay_at_their_ceilings(monkeypatch):
     monkeypatch.setattr(DDStore, "_node_key", counted("node_key", DDStore._node_key))
     state, _ = simulate(gen_wstate(8), mode="evdd")
     assert all(counts[k] <= WSTATE8_EVDD_CALL_CEILINGS[k] for k in counts), counts
+    state.check()
+
+
+# make_edge calls during exact-EVDD simulate of h, a cx ladder down 24 qubits
+# and t on the bottom qubit, before operations were applied in segments: 624.
+LADDER24_EVDD_MAKE_EDGE_CEILING = 175
+
+
+def test_cx_ladder_segments_rebuild_no_path_per_operation(monkeypatch):
+    """Each cx of the ladder used to rebuild every level above its control;
+    a segment passes the cx below a node to its children together."""
+    n = 24
+    calls = {"make_edge": 0}
+    monkeypatch.setattr(DDStore, "make_edge",
+                        _call_counter(calls)("make_edge", DDStore.make_edge))
+    circuit = Circuit(n, (GateInstance("h", (0,)),)
+                      + tuple(GateInstance("cx", (q, q + 1)) for q in range(n - 1))
+                      + (GateInstance("t", (n - 1,)),))
+    state, _ = simulate(circuit, mode="evdd")
+    assert calls["make_edge"] <= LADDER24_EVDD_MAKE_EDGE_CEILING, calls
+    assert state.amplitude(0) == INV_SQRT2
     state.check()
 
 
@@ -649,7 +659,8 @@ def test_run_under_every_phased_pauli_label_matches_dense():
     """A run of 1-3 steps, projections among them, on an edge labelled
     c * P, for each of the 16 c in {1, i, -1, -i} and P in {I, X, Y, Z} at
     the run's bit, equals the dense product of its steps, and so does a run
-    over bits 2 and 0 under c times any Pauli at each."""
+    over bits 2 and 0 under c times any Pauli at each, applied as one run
+    and as a segment of one-bit runs."""
     from qddsim.pauli import PauliLIM, PauliString
 
     store = DDStore()
@@ -681,6 +692,17 @@ def test_run_under_every_phased_pauli_label_matches_dense():
             got = gates._apply(store, edge, ("run", (2, 0), arg))
             want = vec
             for bit, steps in zip((2, 0), arg):
+                for step in steps:
+                    want = _dense_step(ops, want, bit, step)
+            assert store.to_vector(got) == want, (k, x2, z2, x0, z0, arg)
+            store.check_invariants(got)
+            # The same steps as a segment of one-bit runs, the lower bit's
+            # first and last, so a label that changes one splits it there.
+            seg = (("run", (0,), (arg[1],)), ("run", (2,), (arg[0],)),
+                   ("run", (0,), (arg[1],)))
+            got = gates._apply_segment(store, edge, seg)
+            want = vec
+            for bit, steps in ((0, arg[1]), (2, arg[0]), (0, arg[1])):
                 for step in steps:
                     want = _dense_step(ops, want, bit, step)
             assert store.to_vector(got) == want, (k, x2, z2, x0, z0, arg)
@@ -718,13 +740,14 @@ def _layered_circuits(count: int, seed: int):
     among them, on each of 3 or more qubits, then a Pauli on an idle qubit
     when there is one, a multi-qubit gate that misses the layer's qubits
     when it can (about half the time), and one more gate on each of two
-    layer qubits, which then straddle that gate."""
+    layer qubits, which then straddle that gate.  The third layer is
+    followed by a cx ladder down or up the whole register."""
     rng = random.Random(seed)
     one_qubit = ("h", "t", "tdg", "s", "sdg", "x", "y", "z")
     for _ in range(count):
         n = rng.randint(4, 7)
         out = []
-        for _ in range(6):
+        for layer_index in range(6):
             layer = rng.sample(range(n), rng.randint(3, n))
             idle = [q for q in range(n) if q not in layer]
             for q in layer:
@@ -736,16 +759,22 @@ def _layered_circuits(count: int, seed: int):
             pool = idle if len(idle) >= GATE_ARITY[kind] and rng.random() < 0.5 else range(n)
             out.append(GateInstance(kind, tuple(rng.sample(pool, GATE_ARITY[kind]))))
             out.extend(GateInstance(rng.choice(one_qubit), (q,)) for q in layer[:2])
+            if layer_index == 2:
+                order = list(range(n))[::rng.choice((1, -1))]
+                out.extend(GateInstance("cx", pair) for pair in zip(order, order[1:]))
         yield Circuit(n, tuple(out))
 
 
 @pytest.mark.parametrize("mode,backend,norm_rule", FUSION_CONFIGS)
 def test_fused_runs_match_per_gate_application(mode, backend, norm_rule):
-    """simulate fuses single-qubit gates; a per-gate check turns that off,
-    so the checked run is the unfused reference.  The layered circuits add
-    layers over several qubits, limdd Paulis inside runs and on idle qubits,
-    and runs that let a multi-qubit gate on other qubits pass; since a run
-    spans a layer, their runs must at least halve the operations."""
+    """simulate fuses single-qubit gates and applies the operations in
+    segments; a per-gate check turns both off, so the checked run is the
+    one-gate reference.  The layered circuits add layers over several
+    qubits, limdd Paulis inside runs and on idle qubits (so inside
+    segments), runs that let a multi-qubit gate on other qubits pass, and
+    cx ladders; t gates and ccx meet limdd labels that change them inside
+    segments in both sets.  Since a run spans a layer, the layered
+    circuits' runs must at least halve the operations."""
     for circuits, ratio in (
         (_run_rich_circuits(12, seed=2718), 1), (_layered_circuits(10, seed=1618), 2),
     ):
@@ -768,6 +797,22 @@ def test_fused_runs_match_per_gate_application(mode, backend, norm_rule):
                 got, want = state.to_vector(), ref_state.to_vector()
                 assert max(abs(u - v) for u, v in zip(got, want)) < 1e-12
         assert ratio * fused_ops < ref_ops
+
+
+@pytest.mark.xfail(strict=True, reason="limdd orders children by node id, a store's "
+                   "creation order, so two stores can label one state differently")
+def test_limdd_coefficient_bits_do_not_depend_on_the_store():
+    """One state built in two fresh stores, in segments and gate by gate:
+    the nodes per level agree, but make_edge orders a node's children by
+    node id, so the two stores create the level-2 nodes in another order,
+    label the level-3 node with omega and its conjugate, and the root with
+    1/2 and X omega/2, whose sizes are 2 and 3 bits."""
+    circ = gen_random(3, 11, 363, kinds=("h", "t", "s", "x", "cx", "ccx", "cz"))
+    state, run = simulate(circ, store=DDStore(mode="limdd"))
+    ref_state, ref = simulate(circ, check_bounds=True, store=DDStore(mode="limdd"))
+    assert state.to_vector() == ref_state.to_vector()
+    assert run.width_per_level == ref.width_per_level
+    assert run.max_coeff_bits == ref.max_coeff_bits
 
 
 # Operations of simulate.  A limdd run spans a layer as an evdd run does, but
