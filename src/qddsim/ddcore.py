@@ -36,6 +36,13 @@ path, which gives the same node (on the float backend, 1*x may flip the
 sign of a zero part).  A unique-table key is one flat tuple,
 ``(level, low factor key, low x, low z, low node id, high factor key, high
 x, high z, high node id)``, with the backend's ``key`` of each factor.
+
+``mix`` builds both new branches of a node whose branch pair a step mixes
+(h, and cx, ccx and swap with their top bit above the rest) in one memoized
+descent, and ``add`` is the first branch of its h step.  Each level factors
+the first label out of the pair with ``_relative``, so a result is keyed by
+two node ids and one relative label, in ``add_cache``, which the gate
+driver clears with each segment.
 """
 from __future__ import annotations
 
@@ -131,7 +138,8 @@ class DDStore:
         self.terminal = Node(0, 0, None, None)
         self.unique: dict[tuple, Node] = {}
         self.next_id = 1
-        self.add_cache: dict[tuple, Edge] = {}
+        # ``mix`` results, a branch pair per key; ``add`` reads the first.
+        self.add_cache: dict[tuple, tuple[Edge, Edge]] = {}
         self.op_cache: dict[tuple, Edge] = {}
         self.stab_cache: dict[int, Basis] = {0: ()}
         self.joint_cache: dict[tuple[int, int], tuple] = {}
@@ -478,45 +486,112 @@ class DDStore:
         n = edge.lim.string.n
         return [self.eval_amplitude(edge, i) for i in range(1 << n)]
 
-    # -- pointwise addition ------------------------------------------------
+    # -- pointwise addition and paired steps -------------------------------
+
+    def _relative(self, e: Edge, f: Edge) -> PauliLIM:
+        """f's label with e's factored out, e.lim**-1 * f.lim; in limdd the
+        least member of its coset over f's stabilizer group.  With it, two
+        states and anything built from them are keyed by their node ids and
+        this one label."""
+        c = lim_div(self.ops, e.lim, f.lim)
+        return self._coset_min(c, f.node) if self.mode == "limdd" else c
+
+    def _scalar_edge(self, s: object) -> Edge:
+        return self.zero_edge(0) if self.ops.is_zero(s) else self.terminal_edge(s)
+
+    def _scaled(self, s: object, lim: PauliLIM, node: Node) -> Edge:
+        """s * lim * node, or the zero edge."""
+        if self.ops.is_zero(s):
+            return self.zero_edge(lim.string.n)
+        return Edge(lim_scale(self.ops, s, lim), node)
+
+    def under(self, lim: PauliLIM, sub: Edge) -> Edge:
+        """lim * sub, for a label of sub's width: the label that an
+        operation was moved past, put back on its result.  An identity
+        label whose factor is the interned one passes sub through."""
+        if self.is_zero(sub):
+            return self.zero_edge(lim.string.n)
+        s = lim.string
+        if not (s.x or s.z) and lim.factor is self.ops.one:
+            return sub
+        return Edge(lim_mul(self.ops, lim, sub.lim), sub.node)
 
     def add(self, e: Edge, f: Edge) -> Edge:
-        if self.is_zero(e):
-            return f
-        if self.is_zero(f):
-            return e
-        ops = self.ops
-        m = e.lim.string.n
-        if f.lim.string.n != m:
+        """e + f, the first branch of ``mix``'s h step."""
+        if e.lim.string.n != f.lim.string.n:
             raise DiagramError("cannot add edges at different levels")
-        if m == 0:
-            s = ops.add(e.lim.factor, f.lim.factor)
-            if ops.is_zero(s):
-                return self.zero_edge(0)
-            return self.terminal_edge(s)
-        if e.node.id > f.node.id:
-            e, f = f, e
-        a = e.lim
-        c = lim_div(ops, a, f.lim)
-        if self.mode == "limdd":
-            c = self._coset_min(c, f.node)
-        if e.node is f.node and c.string.is_identity():
-            s = ops.add(ops.one, c.factor)
-            if ops.is_zero(s):
-                return self.zero_edge(m)
-            return Edge(lim_scale(ops, s, a), e.node)
-        key = (e.node.id, lim_key(ops, c), f.node.id)
+        return self.mix(e, f, ("h", ()))[0]
+
+    def mix(self, e0: Edge, e1: Edge, step: tuple) -> tuple[Edge, Edge]:
+        """The new branch pair of a node whose branch pair (e0, e1) the step
+        mixes, both branches built in one descent over the two edges.  With
+        e|v the part of e in which a given bit reads v:
+        - ``("h", ())`` gives (e0 + e1, e0 - e1), unscaled;
+        - ``("x", controls)`` exchanges the parts of e0 and e1 in which
+          every ``(bit, value)`` of controls, highest bit first, reads its
+          value; one control (c, 1) gives (e0|0 + e1|1, e1|0 + e0|1);
+        - ``("swap", lo)`` regroups the pair by bit lo: the new e0 is e0|0
+          where lo reads 0 and e1|0 where it reads 1, the new e1 holds e0|1
+          and e1|1 the same way.
+        Each level factors the first nonzero label out of the pair and
+        memoizes the rest in ``add_cache`` under two node ids
+        and the relative label.  An X of that label at a control flips the
+        control's value; a label that acts at the swap's lo does not commute
+        with it, and that pair is keyed by both full labels instead."""
+        kind, arg = step
+        if kind == "x" and not arg:
+            return e1, e0
+        zero0, zero1 = self.is_zero(e0), self.is_zero(e1)
+        if zero0 and zero1:
+            return e0, e1
+        ops = self.ops
+        m = e0.lim.string.n
+        if kind == "h":
+            if zero0 or zero1:
+                return (e0, e0) if zero1 else (e1, self._scaled(ops.neg(ops.one), e1.lim, e1.node))
+            if m == 0:
+                s0, s1 = e0.lim.factor, e1.lim.factor
+                return self._scalar_edge(ops.add(s0, s1)), self._scalar_edge(ops.sub(s0, s1))
+        a = (e1 if zero0 else e0).lim
+        s = a.string
+        ident = self.identity_lim(m)
+        if kind == "swap" and ((s.x | s.z) >> arg) & 1:
+            a = None
+            key = (step, lim_key(ops, e0.lim), e0.node.id, lim_key(ops, e1.lim), e1.node.id)
+        else:
+            if kind == "x" and s.x:
+                step = (kind, tuple((bit, v ^ (s.x >> bit) & 1) for bit, v in arg))
+            if zero0 or zero1:
+                key = (step, e0.node.id, e1.node.id)
+                e0, e1 = (e0, Edge(ident, e1.node)) if zero0 else (Edge(ident, e0.node), e1)
+            else:
+                c = self._relative(e0, e1)
+                if kind == "h" and e0.node is e1.node and c.string.is_identity():
+                    return (self._scaled(ops.add(ops.one, c.factor), a, e0.node),
+                            self._scaled(ops.sub(ops.one, c.factor), a, e0.node))
+                key = (step, e0.node.id, lim_key(ops, c), e1.node.id)
+                e0, e1 = Edge(ident, e0.node), Edge(c, e1.node)
         hit = self.add_cache.get(key)
         if hit is None:
-            right = Edge(c, f.node)
-            hit = self.make_edge(
-                self.add(e.node.low, self.follow(right, 0)),
-                self.add(e.node.high, self.follow(right, 1)),
+            follow = self.follow
+            low, high = (
+                (e0.node.low, e0.node.high) if e0.lim is ident else (follow(e0, 0), follow(e0, 1))
             )
+            halves = [(low, follow(e1, 0)), (high, follow(e1, 1))]
+            top = -1 if kind == "h" else arg if kind == "swap" else arg[0][0]
+            if m - 1 > top:
+                halves = [self.mix(*halves[0], step), self.mix(*halves[1], step)]
+            elif kind == "x":
+                v = step[1][0][1]
+                halves[v] = self.mix(*halves[v], (kind, step[1][1:]))
+            else:
+                halves = list(zip(*halves))
+            (l0, l1), (h0, h1) = halves
+            hit = self.make_edge(l0, h0), self.make_edge(l1, h1)
             self.add_cache[key] = hit
-        if self.is_zero(hit):
-            return self.zero_edge(m)
-        return Edge(lim_mul(ops, a, hit.lim), hit.node)
+        if a is None:
+            return hit
+        return self.under(a, hit[0]), self.under(a, hit[1])
 
     def _coset_min(self, c: PauliLIM, w: Node) -> PauliLIM:
         """Minimal-string representative of c * <Stab(w)>; unique because a

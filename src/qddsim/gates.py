@@ -65,9 +65,12 @@ Pauli gate on a qubit with no waiting steps is one label multiplication at
 the root, also inside a segment; on a qubit with waiting steps it joins
 them.
 cx with the control above the target flips the target on the control's high
-branch, and ccx with a control on top applies cx on that branch; with the
-target above, and for swap, the branches at the upper level are regrouped
-by the value of the lower bits through projections.
+branch, and ccx with a control on top applies cx on that branch.  With the
+target above, and for swap, the node's branch pair goes through one
+paired descent, ``DDStore.mix``, which builds both new branches at once:
+cx and ccx exchange the parts of the two branches in which the controls
+read 1, and swap regroups the pair by the value of its lower bit.  An h
+step gives the pair's sum and difference the same way.
 """
 from __future__ import annotations
 
@@ -87,7 +90,6 @@ from .pauli import (
     PauliString,
     commute_phase_past_lim,
     conjugate_lim,
-    lim_mul,
     lim_scale,
     row_lim_mul,
     row_mul,
@@ -212,18 +214,7 @@ def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
         store.op_cache[key] = sub
     for clifford in then:
         sub = _apply(store, sub, clifford)
-    return _under(store, lim, sub)
-
-
-def _under(store: DDStore, lim: PauliLIM, sub: Edge) -> Edge:
-    """The label that an operation was moved past, put back on the
-    operation's result."""
-    if store.is_zero(sub):
-        return store.zero_edge(lim.string.n)
-    s = lim.string
-    if not (s.x or s.z) and lim.factor is store.ops.one:
-        return sub
-    return Edge(lim_mul(store.ops, lim, sub.lim), sub.node)
+    return store.under(lim, sub)
 
 
 def _run_past_lim(
@@ -316,10 +307,6 @@ def project(store: DDStore, edge: Edge, bit: int, value: int) -> Edge:
     return _apply(store, edge, ("run", (bit,), ((("proj", value),),)))
 
 
-def _split(store: DDStore, edge: Edge, bit: int) -> tuple[Edge, Edge]:
-    return project(store, edge, bit, 0), project(store, edge, bit, 1)
-
-
 # What each operation other than a run does to a node at the level of its
 # highest bit.  The two-bit kinds other than cx take their higher bit first,
 # and ccx takes its higher control first.
@@ -334,8 +321,7 @@ def _steps_on_pair(store: DDStore, e0: Edge, e1: Edge, steps: tuple) -> Edge:
         if name == "diag":
             e1 = _scale_edge(store, ops.omega(arg), e1)
         elif name == "h":
-            minus_e1 = _scale_edge(store, ops.neg(ops.one), e1)
-            e0, e1 = store.add(e0, e1), store.add(e0, minus_e1)
+            e0, e1 = store.mix(e0, e1, ("h", ()))
             scale = ops.invsqrt2 if scale is None else ops.mul(scale, ops.invsqrt2)
         elif name == "x":
             e0, e1 = e1, e0
@@ -358,38 +344,18 @@ def _cx_at(store: DDStore, node, bits, arg) -> Edge:
     control, target = bits
     if control > target:
         return store.make_edge(node.low, _apply_pauli(store, node.high, "x", target))
-    # |0>(P0 e0 + P1 e1) + |1>(P1 e0 + P0 e1), P_b projecting the control
-    a0, a1 = _split(store, node.low, control)
-    b0, b1 = _split(store, node.high, control)
-    return store.make_edge(store.add(a0, b1), store.add(a1, b0))
+    return store.make_edge(*store.mix(node.low, node.high, ("x", ((control, 1),))))
 
 
 def _swap_at(store: DDStore, node, bits, arg) -> Edge:
-    # |0>(P0 e0 + X P0 e1) + |1>(X P1 e0 + P1 e1), P_b and X at lo
-    lo = bits[1]
-    a0, a1 = _split(store, node.low, lo)
-    b0, b1 = _split(store, node.high, lo)
-    return store.make_edge(
-        store.add(a0, _apply_pauli(store, b0, "x", lo)),
-        store.add(_apply_pauli(store, a1, "x", lo), b1),
-    )
+    return store.make_edge(*store.mix(node.low, node.high, ("swap", bits[1])))
 
 
 def _ccx_at(store: DDStore, node, bits, arg) -> Edge:
     a, b, t = bits
     if a > t:
         return store.make_edge(node.low, _apply(store, node.high, ("cx", (b, t), 0)))
-    # |0>(e0 + d) + |1>(e1 - d), d = P11 e1 - P11 e0, P11 projecting both controls
-    ops = store.ops
-    minus = ops.neg(ops.one)
-
-    def p11(e: Edge) -> Edge:
-        return project(store, project(store, e, a, 1), b, 1)
-
-    d = store.add(p11(node.high), _scale_edge(store, minus, p11(node.low)))
-    return store.make_edge(
-        store.add(node.low, d), store.add(node.high, _scale_edge(store, minus, d))
-    )
+    return store.make_edge(*store.mix(node.low, node.high, ("x", ((a, 1), (b, 1)))))
 
 
 _AT_LEVEL = {"cz": _cz_at, "cx": _cx_at, "swap": _swap_at, "ccx": _ccx_at}
@@ -526,7 +492,7 @@ def _apply_segment(store: DDStore, root: Edge, ops: tuple) -> Edge:
                 if below < end:
                     sub = _apply(store, sub, ops[below])
                 cache[key] = sub
-            edge = _under(store, lim, sub)
+            edge = store.under(lim, sub)
             i = end
         return edge
 

@@ -9,8 +9,8 @@ probabilities are ratios of ring values.  Sampling compares the Decimal of
 a uniform draw's ``repr`` with the probability, so the exact backend never
 rounds through binary floating point; that comparison is turned once per
 call into a float threshold, so a shot is one float comparison.
-``collapse`` projects the root with the same projection the native cx and
-swap use.
+``collapse`` projects the root with ``gates.project``, a run of one
+projection step.
 """
 from __future__ import annotations
 

@@ -807,7 +807,7 @@ def test_collect_keeps_only_live_child_pairs():
 # one gate does and can raise the peak.
 GC_PINNED = {
     ("limdd", "wstate-32"): (63, 168, 36),
-    ("evdd", "wstate-32"): (64, 186, 45),
+    ("evdd", "wstate-32"): (64, 173, 43),
     ("limdd", "grover-6"): (16, 86, 11),
     ("evdd", "grover-6"): (16, 77, 24),
 }

@@ -525,8 +525,9 @@ def test_identity_label_passes_the_node_result_through(mode, backend):
 # fused: 193, 158 and 117.  Ring multiplies and divisions before labels
 # with the identity string skipped the group work and the general label
 # product and quotient, and before the equal-children scalar choice was
-# memoized: 162 and 65.
-WSTATE8_CALL_CEILINGS = {"mul": 134, "div": 37, "labels": 97, "joint": 70}
+# memoized: 162 and 65; before the steps that mix a node's two branches
+# took one paired descent without projections or extra sums: 131 and 31.
+WSTATE8_CALL_CEILINGS = {"mul": 107, "div": 25, "labels": 97, "joint": 70}
 # Stabilizer groups built by elimination and joint bases during exact-LIMDD
 # simulate(gen_grover(3, 5)) before labels with the identity string skipped
 # the group work: 23 and 22.
@@ -580,8 +581,9 @@ def test_grover3_label_group_counts_stay_at_their_ceilings(monkeypatch):
 # tests went by identity and ring equality took its typed path: 709, 1104
 # and 229; node keys built before the stored-children probe handed its key
 # on to the node it misses: 354; all four before operations were applied
-# in segments, one descent each: 65, 1100, 228 and 289.
-WSTATE8_EVDD_CALL_CEILINGS = {"eq": 54, "hash": 946, "make_node": 199, "node_key": 254}
+# in segments, one descent each: 65, 1100, 228 and 289; the last three
+# before the paired descent: 946, 199 and 254.
+WSTATE8_EVDD_CALL_CEILINGS = {"eq": 54, "hash": 834, "make_node": 183, "node_key": 226}
 
 
 def test_wstate8_evdd_call_counts_stay_at_their_ceilings(monkeypatch):
@@ -599,6 +601,26 @@ def test_wstate8_evdd_call_counts_stay_at_their_ceilings(monkeypatch):
     state, _ = simulate(gen_wstate(8), mode="evdd")
     assert all(counts[k] <= WSTATE8_EVDD_CALL_CEILINGS[k] for k in counts), counts
     state.check()
+
+
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_pair_steps_build_no_projection_and_no_sum(monkeypatch, mode):
+    """h, cx and ccx with the target above their controls, and swap, mix a
+    node's two branches in one paired descent: no projected copy of either
+    branch and no separate sum."""
+    def forbidden(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(DDStore, "add", forbidden)
+    monkeypatch.setattr(gates, "project", forbidden)
+    g = GateInstance
+    mixed = Circuit(5, (g("h", (4,)), g("h", (3,)), g("t", (3,)), g("cx", (4, 0)),
+                        g("ccx", (3, 4, 1)), g("swap", (0, 3)), g("h", (2,)),
+                        g("ccx", (0, 4, 2)), g("cx", (2, 1)), g("swap", (4, 1))))
+    for circ in (gen_wstate(8), gen_grover(3, 5), mixed,
+                 gen_random(6, 60, 4, max_t=8, kinds=("h", "t", "cx", "swap", "ccx"))):
+        state, _ = simulate(circ, mode=mode)
+        assert state.to_vector() == dense_simulate(circ)
 
 
 # make_edge calls during exact-EVDD simulate of h, a cx ladder down 24 qubits
@@ -706,6 +728,82 @@ def test_run_under_every_phased_pauli_label_matches_dense():
                 for step in steps:
                     want = _dense_step(ops, want, bit, step)
             assert store.to_vector(got) == want, (k, x2, z2, x0, z0, arg)
+            store.check_invariants(got)
+
+
+def _close(ops, got, want) -> bool:
+    """An exact vector equals the wanted one; a float one is within 1e-9 of
+    it, whose entries may be ring values."""
+    if ops.backend == "exact":
+        return got == want
+    want = [v if isinstance(v, complex) else v.to_complex() for v in want]
+    return max(abs(u - v) for u, v in zip(got, want)) < 1e-9
+
+
+def _on_low_branch(n: int, k: int, x: int, z: int) -> tuple:
+    """Gates that apply i**k * P(x, z), P on bits below the top, where the
+    top qubit reads 0: Z before X at each bit, as Y = iXZ."""
+    g = GateInstance
+    bits = range(n - 1)
+    return ((g("x", (0,)),)
+            + tuple(g("cz", (0, n - 1 - b)) for b in bits if (z >> b) & 1)
+            + tuple(g("cx", (0, n - 1 - b)) for b in bits if (x >> b) & 1)
+            + (g("s", (0,)),) * ((k + (x & z).bit_count()) % 4)
+            + (g("x", (0,)),))
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("mode", ["limdd", "evdd"])
+def test_pair_steps_under_every_phased_pauli_label_match_dense(mode, backend):
+    """``DDStore.mix`` on a branch pair whose first branch carries c * P,
+    for every c in {1, i, -1, -i} and, in limdd, every Pauli string P,
+    X and Y on a control or on lo among them: h, cx with the target on top
+    and the control at every lower bit, swap of the top with every lower
+    bit and ccx with both controls below.  Then every cx, swap and ccx
+    through the gate driver, ccx with one control above the target among
+    them."""
+    from qddsim.pauli import PauliLIM, PauliString, lim_mul
+
+    n = 4
+    store = DDStore(CoeffPolicy(backend), mode)
+    ops = store.ops
+    # Branches on two distinct nodes, of widths 2 and 1 in limdd.
+    prep = gen_random(n, 40, seed=15, max_t=10).gates
+    root, _ = simulate(Circuit(n, prep), store=store)
+    e0, e1 = store.follow(root.root, 0), store.follow(root.root, 1)
+    assert not (store.is_zero(e0) or store.is_zero(e1)) and e0.node is not e1.node
+    below = range(n - 1)
+    steps = [(("h", ()), ("h", (0,)))]
+    steps += [(("x", ((c, 1),)), ("cx", (n - 1 - c, 0))) for c in below]
+    steps += [(("swap", lo), ("swap", (0, n - 1 - lo))) for lo in below]
+    steps += [(("x", ((a, 1), (b, 1))), ("ccx", (n - 1 - a, n - 1 - b, 0)))
+              for a, b in itertools.combinations(reversed(below), 2)]
+    strings = range(1 << (n - 1)) if mode == "limdd" else (0,)
+    for k, x, z in itertools.product(range(4), strings, strings):
+        lim = PauliLIM(ops.i_power(k), PauliString(n - 1, x, z))
+        first = Edge(lim_mul(ops, lim, e0.lim), e0.node)
+        labelled = prep + _on_low_branch(n, k, x, z)
+        assert _close(ops, store.to_vector(store.make_edge(first, e1)),
+                      dense_simulate(Circuit(n, labelled)))
+        for step, (kind, qubits) in steps:
+            got = store.make_edge(*store.mix(first, e1, step))
+            if kind == "h":
+                got = gates._scale_edge(store, ops.invsqrt2, got)
+            want = dense_simulate(Circuit(n, labelled + (GateInstance(kind, qubits),)))
+            assert _close(ops, store.to_vector(got), want), (k, x, z, step)
+            store.check_invariants(got)
+        # Two multiples of one node, so the pair's relative label may be a
+        # scalar.
+        u, v = store.to_vector(first), store.to_vector(e0)
+        r0, r1 = store.mix(first, e0, ("h", ()))
+        assert _close(ops, store.to_vector(r0), [ops.add(a, b) for a, b in zip(u, v)])
+        assert _close(ops, store.to_vector(r1), [ops.sub(a, b) for a, b in zip(u, v)])
+    for kind in ("cx", "swap", "ccx"):
+        for qubits in itertools.permutations(range(n), GATE_ARITY[kind]):
+            bits = tuple(n - 1 - q for q in qubits)
+            got = apply_gate(store, root.root, kind, bits)
+            want = dense_simulate(Circuit(n, prep + (GateInstance(kind, qubits),)))
+            assert _close(ops, store.to_vector(got), want), (kind, qubits)
             store.check_invariants(got)
 
 
