@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from numbers import Integral
 
 from .coeff import INV_SQRT2, ONE, ZERO, RingValue, omega_power
-from .gates import GATE_ARITY, GateCounts, GateInstance, count_gates
-from .stabtrack import gate_support
+from .gates import GateCounts, GateInstance, count_gates
+from .stabtrack import GATE_ARITY, gate_support
 
 
 class QasmParseError(Exception):
@@ -41,7 +41,7 @@ class Circuit:
             gate_support(g.kind, g.qubits, self.n_qubits)
         for q, c in self.measurements:
             gate_support("z", (q,), self.n_qubits)  # valid where a one-qubit gate is
-            if not isinstance(c, Integral) or c < 0:
+            if not isinstance(c, Integral) or isinstance(c, bool) or c < 0:
                 raise ValueError(f"classical bit {c!r} is not a non-negative integer")
 
     def counts(self) -> GateCounts:

@@ -499,11 +499,11 @@ class DDStore:
     def _scalar_edge(self, s: object) -> Edge:
         return self.zero_edge(0) if self.ops.is_zero(s) else self.terminal_edge(s)
 
-    def _scaled(self, s: object, lim: PauliLIM, node: Node) -> Edge:
-        """s * lim * node, or the zero edge."""
-        if self.ops.is_zero(s):
-            return self.zero_edge(lim.string.n)
-        return Edge(lim_scale(self.ops, s, lim), node)
+    def scaled(self, s: object, edge: Edge) -> Edge:
+        """s * edge, or the zero edge of its width when either is zero."""
+        if self.is_zero(edge) or self.ops.is_zero(s):
+            return self.zero_edge(edge.lim.string.n)
+        return Edge(lim_scale(self.ops, s, edge.lim), edge.node)
 
     def under(self, lim: PauliLIM, sub: Edge) -> Edge:
         """lim * sub, for a label of sub's width: the label that an
@@ -548,7 +548,7 @@ class DDStore:
         m = e0.lim.string.n
         if kind == "h":
             if zero0 or zero1:
-                return (e0, e0) if zero1 else (e1, self._scaled(ops.neg(ops.one), e1.lim, e1.node))
+                return (e0, e0) if zero1 else (e1, self.scaled(ops.neg(ops.one), e1))
             if m == 0:
                 s0, s1 = e0.lim.factor, e1.lim.factor
                 return self._scalar_edge(ops.add(s0, s1)), self._scalar_edge(ops.sub(s0, s1))
@@ -567,8 +567,9 @@ class DDStore:
             else:
                 c = self._relative(e0, e1)
                 if kind == "h" and e0.node is e1.node and c.string.is_identity():
-                    return (self._scaled(ops.add(ops.one, c.factor), a, e0.node),
-                            self._scaled(ops.sub(ops.one, c.factor), a, e0.node))
+                    e = Edge(a, e0.node)
+                    return (self.scaled(ops.add(ops.one, c.factor), e),
+                            self.scaled(ops.sub(ops.one, c.factor), e))
                 key = (step, e0.node.id, lim_key(ops, c), e1.node.id)
                 e0, e1 = Edge(ident, e0.node), Edge(c, e1.node)
         hit = self.add_cache.get(key)

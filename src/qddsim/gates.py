@@ -11,11 +11,23 @@ from a table, so no circuit is compiled to be counted.
 
 Every diagram operation is a hashable ``(kind, bits, arg)`` run by one
 driver function, ``_apply``, with one stack frame per level.  It moves the
-operation past an edge's label, then recurses over hash-consed nodes,
-memoizing each node's result, down to the level of the operation's highest
-bit, where one function per kind other than ``run`` builds the result
-(``_AT_LEVEL``).  A node's result never goes stale because nodes are
-immutable.
+operation past an edge's label by the label rule below, then recurses over
+hash-consed nodes, memoizing each node's result, down to the level of the
+operation's highest bit, where one function per kind other than ``run``
+builds the result (``_AT_LEVEL``).  A node's result never goes stale
+because nodes are immutable.
+
+The label rule, ``_past``, moves an operation right past a limdd label
+c * P: op P = omega**phase P' K op'.  A Clifford kind or run step, the
+even diag octants (s, z, sdg) among them, conjugates P and stays as it is.
+Under an X at its bit an odd octant (t, tdg) flips to its adjoint and adds
+its octant to the phase, and a projection keeps the other value.  ccx
+leaves a Clifford K of cz and cx behind, applied to the node's result, and
+puts a Pauli and a power of i into the label.  The rule spends no ring
+multiply: what keeps the moved operation multiplies omega**phase into the
+label once.  Identity strings, every evdd label among them, commute with
+everything, and an identity label whose factor is the interned ``ops.one``
+passes the node's result through unchanged.
 
 ``simulate`` hands its operations to the diagram in segments, each one
 descent with one frame per level (``_apply_segment``).  At a node, the
@@ -24,11 +36,14 @@ together, so the levels above an operation's highest bit are rebuilt once
 per segment, not once per operation.  At the level of an operation's
 highest bit, the operations before it go to the children first, that
 operation runs through ``_apply``, and the rest continue from the result
-in the same frame.  Stretches of a segment are memoized per node under
-their places in the segment, so the operation cache is cleared when each
-segment starts.  Segments double in length from one operation, and start
-again at one after a collection or when the unique table has no room for
-about eight more segments growing as the last one did.
+in the same frame.  A label moves through the segment's operations by the
+label rule, in order; the first that it changes or that leaves a Clifford
+behind runs alone through ``_apply`` between the parts around it.
+Stretches of a segment are memoized per node under their places in the
+segment, so the operation cache is cleared when each segment starts.
+Segments double in length from one operation, and start again at one
+after a collection or when the unique table has no room for about eight
+more segments growing as the last one did.
 
 Single-qubit gates are one kind, ``run``: its bits run from highest to
 lowest, and its arg holds one tuple of steps per bit, in application order.
@@ -43,27 +58,14 @@ Adjacent diag steps on a qubit add their octants.  At the level of its
 top bit, a run applies the rest of itself to both branches and then that
 bit's steps to the pair, all from the one frame of that level.  With
 per-gate checks every gate is its own run and its own segment, so each
-check sees the state right after its gate.
-cz, cx, swap and ccx take arg 0.  Clifford kinds and steps, the even
-diag octants (s, z, sdg) among them, conjugate the label and stay as
-they are.  Past a label with an X at the bit, an odd diag octant (t,
-tdg) flips to its adjoint and emits a global phase, and a projection
-keeps the other value.  A run that changes so could become a different
-operation under each label, one more descent per pattern, so a run of
-several bits that would change is applied one bit at a time from that
-edge instead; every other run keeps one cache entry per node whatever
-the labels.  ccx is not Clifford: past a label P it leaves a Clifford behind,
-ccx P = P C ccx, which the driver applies to the node's result with the
-Clifford kinds.  A segment moves a label through its operations one at a
-time, in order; one that the label would change, as a t/tdg or proj step
-under an X or a ccx with an X on a control or a Z on its target, runs
-alone through ``_apply`` between the parts of the segment before and after
-it.  Identity strings, which include every evdd label, commute
-with everything, and an identity label whose factor is the interned
-``ops.one`` passes the node's result through unchanged.  In limdd mode a
-Pauli gate on a qubit with no waiting steps is one label multiplication at
-the root, also inside a segment; on a qubit with waiting steps it joins
-them.
+check sees the state right after its gate.  A run that the label rule
+changes could become a different operation under each label, one more
+descent per pattern, so a run of several bits that would change is
+applied one bit at a time from that edge instead; every other run keeps
+one cache entry per node whatever the labels.  cz, cx, swap and ccx take
+arg 0.  In limdd mode a Pauli gate on a qubit with no waiting steps is one
+label multiplication at the root, also inside a segment; on a qubit with
+waiting steps it joins them.
 cx with the control above the target flips the target on the control's high
 branch, and ccx with a control on top applies cx on that branch.  With the
 target above, and for swap, the node's branch pair goes through one
@@ -93,9 +95,8 @@ from .pauli import (
     lim_scale,
     row_lim_mul,
     row_mul,
-    times_i,
 )
-from .stabtrack import _CCX_NETWORK, GATE_ARITY, GATE_COUNTS, BoundReport, gate_support, track
+from .stabtrack import _CCX_NETWORK, GATE_COUNTS, BoundReport, gate_support, track
 
 
 @dataclass(frozen=True)
@@ -156,40 +157,26 @@ def count_gates(gates: Iterable[GateInstance]) -> GateCounts:
 # -- application internals -------------------------------------------------
 
 
-def _scale_edge(store: DDStore, scalar: object, edge: Edge) -> Edge:
-    if store.is_zero(edge):
-        return edge
-    return Edge(lim_scale(store.ops, scalar, edge.lim), edge.node)
-
-
 def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
     """The operation applied to the edge's state: moved past the edge's
-    label, then applied to its node, whose result is memoized under
-    ``(op, node.id)``."""
+    label by ``_past``, then applied to its node, whose result is memoized
+    under ``(op, node.id)``."""
     if store.is_zero(edge):
         return edge
     lim = edge.lim
     s = lim.string
-    kind, bits, arg = op
-    then: Iterable[tuple] = ()
+    then = ()
     if s.x or s.z:
-        if kind == "run":
-            mask = s.x | s.z
-            moved = list(arg)
-            for j, bit in enumerate(bits):
-                if (mask >> bit) & 1:
-                    lim, moved[j] = _run_past_lim(store, lim, bit, arg[j])
-            moved = tuple(moved)
-            if len(bits) > 1 and moved != arg:  # changed: a new op per label pattern
-                for bit, steps in zip(bits, arg):
-                    edge = _apply(store, edge, (kind, (bit,), (steps,)))
+        lim, moved, then, phase = _past(store, lim, op)
+        if moved is not op:
+            if len(op[1]) > 1:  # a changed run: a new op per label pattern
+                for bit, steps in zip(op[1], op[2]):
+                    edge = _apply(store, edge, ("run", (bit,), (steps,)))
                 return edge
-            arg = moved
-            op = (kind, bits, arg)
-        elif kind == "ccx":
-            lim, then = _ccx_past_lim(store, lim, bits)
-        else:
-            lim = conjugate_lim(store.ops, lim, kind, bits)
+            op = moved
+        if phase & 7:
+            lim = lim_scale(store.ops, store.ops.omega(phase), lim)
+    kind, bits, arg = op
     node = edge.node
     key = (op, node.id)
     sub = store.op_cache.get(key)
@@ -217,77 +204,55 @@ def _apply(store: DDStore, edge: Edge, op: tuple) -> Edge:
     return store.under(lim, sub)
 
 
-def _run_past_lim(
-    store: DDStore, lim: PauliLIM, bit: int, steps: tuple
-) -> tuple[PauliLIM, tuple]:
-    """Move one bit's steps right past the label lim, which has an X or a Z
-    at the bit, one step at a time in application order: U_k..U_1 P =
-    P' U'_k..U'_1.  Returns P' and the steps U'.  A Clifford step (h, x, y
-    or an even diag octant) conjugates the label and stays as it is; only
-    an odd diag octant and a projection change, and only under an X."""
-    moved = []
-    for name, arg in steps:
-        if name == "diag" and arg & 1:
-            scal, arg = commute_phase_past_lim(arg, bit, lim)
-            if scal:
-                lim = lim_scale(store.ops, store.ops.omega(scal), lim)
-        elif name == "proj":  # P_v X = X P_(1-v); Z commutes
-            arg ^= (lim.string.x >> bit) & 1
-        else:
-            lim = conjugate_lim(store.ops, lim, _CLIFFORD.get((name, arg), name), (bit,))
-        moved.append((name, arg))
-    return lim, tuple(moved)
-
-
-def _label_past(store: DDStore, lim: PauliLIM, op: tuple) -> PauliLIM | None:
-    """The label lim moved right past the operation, op P = P' op, or None
-    when the operation would change on the way: a t/tdg or proj step that
-    meets an X, or a ccx with an X on a control or a Z on its target.  Run
-    steps are followed one at a time, as in ``_run_past_lim``, since an h
-    turns a Z into an X; no ring multiply is spent on an operation that
-    then changes."""
-    kind, bits, _ = op
+def _past(store: DDStore, lim: PauliLIM, op: tuple) -> tuple[PauliLIM, tuple, list, int]:
+    """The label rule (see the module docstring): op lim = omega**phase
+    lim' K op'.  Returns lim', op', which is op itself unless it changed,
+    the operations of the Clifford K, which only a ccx leaves, and phase
+    in eighth turns; spends no ring multiply.  A run's steps move one at a
+    time in application order, since an h turns a Z into an X."""
+    kind, bits, arg = op
     s = lim.string
     if kind == "ccx":
+        # ccx(a, b, t) P = P Q K ccx, where, from P's X bits xa, xb at the
+        # controls and its Z bit zt at the target, Q = (-1)**(zt xa xb)
+        # Z_b**(zt xa) Z_a**(zt xb) X_t**(xa xb) and K = CZ(a, b)**zt
+        # CX(b->t)**xa CX(a->t)**xb; all these factors commute.
         a, b, t = bits
-        return None if ((s.x >> a) | (s.x >> b) | (s.z >> t)) & 1 else lim
+        xa, xb, zt = (s.x >> a) & 1, (s.x >> b) & 1, (s.z >> t) & 1
+        then = []
+        if zt:
+            then.append(("cz", (a, b), 0))
+        if xa:
+            then.append(("cx", (b, t), 0))
+        if xb:
+            then.append(("cx", (a, t), 0))
+        phase = 0
+        if zt or xa & xb:
+            q = (2 * (zt & xa & xb), (xa & xb) << t, ((zt & xa) << b) | ((zt & xb) << a))
+            k, x, z = row_mul((0, s.x, s.z), q)
+            lim, phase = PauliLIM(lim.factor, PauliString(s.n, x, z)), 2 * k
+        return lim, op, then, phase
     if kind != "run":
-        return conjugate_lim(store.ops, lim, kind, bits)
-    for bit, steps in zip(bits, op[2]):
-        if not ((s.x | s.z) >> bit) & 1:
-            continue
-        for step in steps:
-            name, arg = step
-            if name == "proj" or name == "diag" and arg & 1:
-                if (lim.string.x >> bit) & 1:
-                    return None
-            else:
-                lim = conjugate_lim(store.ops, lim, _CLIFFORD.get(step, name), (bit,))
-    return lim
-
-
-def _ccx_past_lim(store: DDStore, lim: PauliLIM, bits) -> tuple[PauliLIM, list]:
-    """Move ccx(a, b, t) right past the label lim = c * P: ccx P = P Q K ccx,
-    where, from P's X bits xa, xb at the controls and its Z bit zt at the
-    target, the Pauli part Q = (-1)**(zt xa xb) Z_b**(zt xa) Z_a**(zt xb)
-    X_t**(xa xb) and the Clifford part K = CZ(a, b)**zt CX(b->t)**xa
-    CX(a->t)**xb; all these factors commute.  Returns the label c * P Q and
-    the operations of K, to apply after ccx."""
-    a, b, t = bits
-    s = lim.string
-    xa, xb, zt = (s.x >> a) & 1, (s.x >> b) & 1, (s.z >> t) & 1
-    then = []
-    if zt:
-        then.append(("cz", (a, b), 0))
-    if xa:
-        then.append(("cx", (b, t), 0))
-    if xb:
-        then.append(("cx", (a, t), 0))
-    if zt or xa & xb:
-        q = (2 * (zt & xa & xb), (xa & xb) << t, ((zt & xa) << b) | ((zt & xb) << a))
-        k, x, z = row_mul((0, s.x, s.z), q)
-        lim = PauliLIM(times_i(store.ops, lim.factor, k), PauliString(s.n, x, z))
-    return lim, then
+        return conjugate_lim(store.ops, lim, kind, bits), op, [], 0
+    mask = s.x | s.z
+    phase = 0
+    moved = []
+    for bit, steps in zip(bits, arg):
+        if (mask >> bit) & 1:
+            new = []
+            for name, p in steps:
+                if name == "diag" and p & 1:
+                    scal, p = commute_phase_past_lim(p, bit, lim)
+                    phase += scal
+                elif name == "proj":  # P_v X = X P_(1-v); Z commutes
+                    p ^= (lim.string.x >> bit) & 1
+                else:
+                    lim = conjugate_lim(store.ops, lim, _CLIFFORD.get((name, p), name), (bit,))
+                new.append((name, p))
+            steps = tuple(new)
+        moved.append(steps)
+    moved = tuple(moved)
+    return lim, op if moved == arg else (kind, bits, moved), [], phase
 
 
 def _apply_pauli(store: DDStore, edge: Edge, kind: str, bit: int) -> Edge:
@@ -319,7 +284,7 @@ def _steps_on_pair(store: DDStore, e0: Edge, e1: Edge, steps: tuple) -> Edge:
     scale = None
     for name, arg in steps:
         if name == "diag":
-            e1 = _scale_edge(store, ops.omega(arg), e1)
+            e1 = store.scaled(ops.omega(arg), e1)
         elif name == "h":
             e0, e1 = store.mix(e0, e1, ("h", ()))
             scale = ops.invsqrt2 if scale is None else ops.mul(scale, ops.invsqrt2)
@@ -329,10 +294,9 @@ def _steps_on_pair(store: DDStore, e0: Edge, e1: Edge, steps: tuple) -> Edge:
             zero = store.zero_edge(e0.lim.string.n)
             e0, e1 = (zero, e1) if arg else (e0, zero)
         else:  # y
-            e0, e1 = (_scale_edge(store, ops.i_power(3), e1),
-                      _scale_edge(store, ops.i_power(1), e0))
+            e0, e1 = store.scaled(ops.i_power(3), e1), store.scaled(ops.i_power(1), e0)
     res = store.make_edge(e0, e1)
-    return res if scale is None else _scale_edge(store, scale, res)
+    return res if scale is None else store.scaled(scale, res)
 
 
 def _cz_at(store: DDStore, node, bits, arg) -> Edge:
@@ -374,10 +338,8 @@ def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> 
     ``gate_support`` raises ``ValueError``: the kind must be known and take
     as many distinct integer positions in [0, n) as ``bits`` holds."""
     gate = (kind, tuple(bits))
-    op = next(_operations((gate,), edge.lim.string.n, store.mode == "limdd", False))
-    if op[0] in _PAULIS:  # limdd
-        return _apply_pauli(store, edge, kind, op[1][0])
-    return _apply(store, edge, op)
+    ops = _operations((gate,), edge.lim.string.n, store.mode == "limdd", False)
+    return _apply_segment(store, edge, tuple(ops))
 
 
 # -- full-circuit driver ---------------------------------------------------
@@ -440,8 +402,9 @@ def _apply_segment(store: DDStore, root: Edge, ops: tuple) -> Edge:
     highest bit is that top bit, and memoizes what they do to the node
     under ``(i, end, node.id)``: the ones before pass to both children
     together, then that one runs through ``_apply``.  The rest continue
-    from the result in a loop in the same frame.  An operation that the
-    label would change (see ``_label_past``) runs alone through ``_apply``
+    from the result in a loop in the same frame.  The label moves by
+    ``_past``, which spends no multiply; the first operation that it
+    changes or that leaves a Clifford behind runs alone through ``_apply``
     between the parts before and after it.  A limdd Pauli is one multiply
     of the root label between the descents of the parts around it."""
     n = root.lim.string.n
@@ -468,10 +431,10 @@ def _apply_segment(store: DDStore, root: Edge, ops: tuple) -> Edge:
                 k = i
                 while k < end:
                     if (s.x | s.z) & supports[k]:
-                        moved = _label_past(store, lim, ops[k])
-                        if moved is None:
-                            break
-                        lim, s = moved, moved.string
+                        past, moved, then, _ = _past(store, lim, ops[k])
+                        if moved is not ops[k] or then:
+                            break  # the phase is 0 until here
+                        lim, s = past, past.string
                     k += 1
                 if k == i:
                     edge = _apply(store, edge, ops[i])

@@ -49,16 +49,16 @@ GATE_ARITY = {
 
 def gate_support(kind: str, bits: tuple[int, ...], n: int) -> int:
     """The support mask of a well-formed gate: a known kind on as many
-    distinct integer positions as that kind takes, each in [0, n).  Register
-    indices and internal bits pass or fail alike.  Raises ``ValueError`` for
-    anything else."""
+    distinct integer positions, not bools, as that kind takes, each in
+    [0, n).  Register indices and internal bits pass or fail alike.  Raises
+    ``ValueError`` for anything else."""
     arity = GATE_ARITY.get(kind)
     if arity is None:
         raise ValueError(f"unknown gate kind {kind!r}")
     support = 0
     try:
         for bit in bits:
-            if bit >= n:  # tested before the shift, which a huge bit would make costly
+            if bit >= n or type(bit) is bool:  # before the shift, costly for a huge bit
                 break
             support |= 1 << bit  # a negative bit raises ValueError, a non-integer TypeError
         else:

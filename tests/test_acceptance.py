@@ -32,14 +32,13 @@ from qddsim.coeff import (
 )
 from qddsim.ddcore import DDStore
 from qddsim.gates import (
-    GATE_ARITY,
     apply_gate,
     compile_gate,
     compile_sequence,
     verify_coeff_bound,
 )
 from qddsim.measure import measurement_probability
-from qddsim.stabtrack import StabilizerTableau, track
+from qddsim.stabtrack import GATE_ARITY, StabilizerTableau, track
 
 from conftest import LEADING, MOTIVATING, dyadic_ring, random_corpus
 from test_stabtrack import apply_row, local_nullity_oracle, run_tableau

@@ -36,7 +36,9 @@ def test_circuit_validation():
         Circuit(2, (GateInstance("h", (2,)),))
     with pytest.raises(ValueError):
         Circuit(2, (), ((3, 0),))
-    for measurement in ((0.5, 0), (1.0, 0), (0, -1), (0, 1.0), (0, "1")):
+    with pytest.raises(ValueError):  # a bool is no qubit position
+        Circuit(2, (GateInstance("cx", (False, True)),))
+    for measurement in ((0.5, 0), (1.0, 0), (0, -1), (0, 1.0), (0, "1"), (True, 0), (0, False)):
         with pytest.raises(ValueError):
             Circuit(2, (), (measurement,))
 

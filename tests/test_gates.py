@@ -22,7 +22,6 @@ from qddsim import gates
 from qddsim.coeff import INV_SQRT2, ONE, ZERO, CoeffPolicy
 from qddsim.ddcore import DDStore, Edge
 from qddsim.gates import (
-    GATE_ARITY,
     PRIMITIVE_KINDS,
     _apply,
     apply_gate,
@@ -38,6 +37,7 @@ from qddsim.measure import (
     sample,
     sample_counts,
 )
+from qddsim.stabtrack import GATE_ARITY
 
 from conftest import assert_matches_dense
 from test_acceptance import _ccx_corpus
@@ -279,20 +279,22 @@ def ccx_network(store: DDStore, edge, bits: tuple[int, int, int]):
 def test_native_ccx_matches_network(monkeypatch, mode, backend):
     """Every ordered triple on 3-5 qubits; past a label the driver leaves a
     Clifford behind, and each of its factors gets exercised in limdd."""
-    real = gates._ccx_past_lim
+    real = gates._past
     branches: set[str] = set()
 
-    def spy(store, lim, bits):
-        a, b, t = bits
-        s = lim.string
-        xa, xb, zt = (s.x >> a) & 1, (s.x >> b) & 1, (s.z >> t) & 1
-        branches.update(
-            name for name, hit in (("xa", xa), ("xb", xb), ("xa*xb", xa & xb), ("zt", zt))
-            if hit
-        )
-        return real(store, lim, bits)
+    def spy(store, lim, op):
+        kind, bits, _ = op
+        if kind == "ccx":
+            a, b, t = bits
+            s = lim.string
+            xa, xb, zt = (s.x >> a) & 1, (s.x >> b) & 1, (s.z >> t) & 1
+            branches.update(
+                name for name, hit in (("xa", xa), ("xb", xb), ("xa*xb", xa & xb), ("zt", zt))
+                if hit
+            )
+        return real(store, lim, op)
 
-    monkeypatch.setattr(gates, "_ccx_past_lim", spy)
+    monkeypatch.setattr(gates, "_past", spy)
     store = DDStore(policy=CoeffPolicy(backend), mode=mode)
     triples = 0
     for n, root in _entangled_states(store, 12, seed=6607):
@@ -731,6 +733,113 @@ def test_run_under_every_phased_pauli_label_matches_dense():
             store.check_invariants(got)
 
 
+def _past_cases():
+    """Every run step on each of 3 bits, runs of two steps that an h links,
+    one run over all three bits, and cz, cx, swap and ccx in every bit
+    order."""
+    steps = [gates._STEP[kind] for kind in ("h", "s", "sdg", "x", "y", "z", "t", "tdg")]
+    steps += [("proj", 0), ("proj", 1)]
+    for bit in range(3):
+        yield from (("run", (bit,), ((step,),)) for step in steps)
+    for step in (("h", 0), ("diag", 1), ("proj", 1)):
+        yield ("run", (1,), ((("h", 0), step),))
+        yield ("run", (1,), ((step, ("h", 0)),))
+    yield ("run", (2, 1, 0), ((("diag", 1),), (("h", 0), ("diag", 7)), (("proj", 0),)))
+    for kind in ("cz", "cx", "swap", "ccx"):
+        size = 3 if kind == "ccx" else 2
+        yield from ((kind, bits, 0) for bits in itertools.permutations(range(3), size))
+
+
+def _past_labels(ops):
+    """i**k * P for every k in 0..3 and every P in {I, X, Y, Z}**3."""
+    from qddsim.pauli import PauliLIM, PauliString
+
+    for k, x, z in itertools.product(range(4), range(8), range(8)):
+        yield PauliLIM(ops.i_power(k), PauliString(3, x, z))
+
+
+def _basis_image(ops, op, i: int) -> dict:
+    """The operation, or a label, applied to the basis state |i>, as a
+    sparse vector {index: amplitude}; bit b of an index is position b."""
+    from qddsim.pauli import PauliLIM
+
+    if isinstance(op, PauliLIM):  # c * i**(x & z) X**x Z**z, since Y = iXZ
+        s = op.string
+        k = (s.x & s.z).bit_count() + 2 * (s.z & i).bit_count()
+        return {i ^ s.x: ops.mul(op.factor, ops.i_power(k))}
+    kind, bits, arg = op
+    out = {i: ops.one}
+    if kind == "run":
+        for bit, steps in zip(bits, arg):
+            for step in steps:
+                m = _step_matrix(ops, step)
+                new: dict = {}
+                for j, c in out.items():
+                    v = (j >> bit) & 1
+                    for w in (0, 1):
+                        if not ops.is_zero(m[w][v]):
+                            u = j ^ ((v ^ w) << bit)
+                            new[u] = ops.add(new.get(u, ops.zero), ops.mul(m[w][v], c))
+                out = new
+        return out
+    on = [(i >> b) & 1 for b in bits]
+    if kind == "cz":
+        return {i: ops.neg(ops.one) if on[0] & on[1] else ops.one}
+    if kind == "swap":
+        a, b = bits
+        return {i ^ ((on[0] ^ on[1]) * ((1 << a) | (1 << b))): ops.one}
+    return {i ^ (all(on[:-1]) << bits[-1]): ops.one}  # cx, ccx
+
+
+def _dense_product(ops, factors, i: int) -> dict:
+    """The product of the factors, applied rightmost first, on |i>."""
+    vec = {i: ops.one}
+    for factor in reversed(factors):
+        new: dict = {}
+        for j, c in vec.items():
+            for u, d in _basis_image(ops, factor, j).items():
+                new[u] = ops.add(new.get(u, ops.zero), ops.mul(c, d))
+        vec = new
+    return {j: c for j, c in vec.items() if not ops.is_zero(c)}
+
+
+def test_past_obeys_the_label_rule():
+    """For every operation of ``_past_cases`` under every label of
+    ``_past_labels``, ``_past`` returns (lim', op', K, phase) with op lim =
+    omega**phase lim' K op' as dense 8x8 matrices, K applied after op', and
+    op' is op itself unless it differs from op."""
+    from qddsim.pauli import lim_scale
+
+    store = DDStore()
+    ops = store.ops
+    seen = set()
+    for op in _past_cases():
+        for lim in _past_labels(ops):
+            moved_lim, moved, then, phase = gates._past(store, lim, op)
+            assert moved is op or moved != op
+            right = [lim_scale(ops, ops.omega(phase), moved_lim), *reversed(then), moved]
+            for i in range(8):
+                assert (_dense_product(ops, [op, lim], i)
+                        == _dense_product(ops, right, i)), (op, lim, i)
+            seen.add((op[0], moved is op, bool(then), phase % 8))
+    assert ("run", False, False, 1) in seen and ("run", False, False, 0) in seen
+    assert ("ccx", True, True, 2) in seen and ("ccx", True, True, 0) in seen
+
+
+def test_past_spends_no_ring_multiply(monkeypatch):
+    from qddsim import coeff
+
+    calls = []
+    real = coeff.RingValue.__mul__
+    monkeypatch.setattr(coeff.RingValue, "__mul__", lambda x, y: calls.append(1) or real(x, y))
+    store = DDStore()
+    labels = list(_past_labels(store.ops))
+    for op in _past_cases():
+        for lim in labels:
+            gates._past(store, lim, op)
+    assert not calls
+
+
 def _close(ops, got, want) -> bool:
     """An exact vector equals the wanted one; a float one is within 1e-9 of
     it, whose entries may be ring values."""
@@ -788,7 +897,7 @@ def test_pair_steps_under_every_phased_pauli_label_match_dense(mode, backend):
         for step, (kind, qubits) in steps:
             got = store.make_edge(*store.mix(first, e1, step))
             if kind == "h":
-                got = gates._scale_edge(store, ops.invsqrt2, got)
+                got = store.scaled(ops.invsqrt2, got)
             want = dense_simulate(Circuit(n, labelled + (GateInstance(kind, qubits),)))
             assert _close(ops, store.to_vector(got), want), (k, x, z, step)
             store.check_invariants(got)

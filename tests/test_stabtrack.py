@@ -9,9 +9,8 @@ from qddsim import (
     Circuit, GateInstance, dense_simulate, gen_grover, gen_random, gen_wstate, simulate,
 )
 from qddsim.coeff import I_UNIT, MINUS_ONE, ONE, ZERO
-from qddsim.gates import GATE_ARITY
 from qddsim.pauli import echelon, reduce_key, string_key
-from qddsim.stabtrack import _CCX_NETWORK, BoundReport, StabilizerTableau, track
+from qddsim.stabtrack import _CCX_NETWORK, GATE_ARITY, BoundReport, StabilizerTableau, track
 
 from conftest import bell_pair
 
