@@ -13,11 +13,10 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from numbers import Integral
 
 from .coeff import INV_SQRT2, ONE, ZERO, RingValue, omega_power
 from .gates import GateCounts, GateInstance, count_gates
-from .stabtrack import GATE_ARITY, gate_support
+from .stabtrack import GATE_ARITY, gate_support, whole
 
 
 class QasmParseError(Exception):
@@ -35,14 +34,12 @@ class Circuit:
     measurements: tuple[tuple[int, int], ...] = ()  # (qubit, classical bit)
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError("circuit needs at least one qubit")
+        n = whole(self.n_qubits, "register size", 1)
         for g in self.gates:
-            gate_support(g.kind, g.qubits, self.n_qubits)
+            gate_support(g.kind, g.qubits, n)
         for q, c in self.measurements:
-            gate_support("z", (q,), self.n_qubits)  # valid where a one-qubit gate is
-            if not isinstance(c, Integral) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"classical bit {c!r} is not a non-negative integer")
+            whole(q, "measured qubit", 0, n)
+            whole(c, "classical bit")
 
     def counts(self) -> GateCounts:
         return count_gates(self.gates)
@@ -204,8 +201,8 @@ def gen_wstate(n: int) -> Circuit:
     """Uniform single-excitation state over a power-of-two register by
     repeated doubling: each round splits every excitation between a held
     position and a fresh one via controlled-H then cx back."""
-    if n < 1 or n & (n - 1):
-        raise ValueError("register size must be a power of two")
+    if whole(n, "register size", 1) & (n - 1):
+        raise ValueError(f"register size must be a power of two, got {n!r}")
     gates: list[GateInstance] = [GateInstance("x", (0,))]
     m = 1
     while m < n:
@@ -236,14 +233,12 @@ def gen_grover(n_search: int, marked: int, iterations: int | None = None) -> Cir
     """Search circuit for one marked basis state; bit n_search-1-j of
     ``marked`` is carried by q[j].  Ancillas (max(0, n_search-2) of them)
     sit after the search register and return to zero."""
-    m = n_search
-    if m < 1:
-        raise ValueError("need at least one search qubit")
-    if not 0 <= marked < (1 << m):
-        raise ValueError("marked state out of range")
+    m = whole(n_search, "search qubit count", 1)
+    whole(marked, "marked state", 0, 1 << m)
     n = m + max(0, m - 2)
     if iterations is None:
         iterations = max(1, math.floor(math.pi / 4 * math.sqrt(2**m)))
+    whole(iterations, "iterations")
     mask = [
         GateInstance("x", (j,))
         for j in range(m)
@@ -272,10 +267,11 @@ def gen_random(
     kinds: tuple[str, ...] | None = None,
 ) -> Circuit:
     """Seeded random circuit; optional ceilings on t-family and h gates."""
-    if n < 1 or depth < 0:
-        raise ValueError("bad register size or depth")
-    if any(c is not None and c < 0 for c in (max_t, max_h)):
-        raise ValueError(f"gate ceilings must not be negative: max_t={max_t}, max_h={max_h}")
+    whole(n, "register size", 1)
+    whole(depth, "depth")
+    for name, ceiling in (("max_t", max_t), ("max_h", max_h)):
+        if ceiling is not None:
+            whole(ceiling, f"gate ceilings: {name}")
     if kinds is None:
         pool = ["h", "t", "tdg", "s", "sdg", "x", "y", "z"]
         if n >= 2:
@@ -374,13 +370,12 @@ def dense_simulate(circuit: Circuit, max_qubits: int = _DENSE_CAP) -> list[RingV
 
 
 def dense_probability_zero(vec: list[RingValue], qubit: int = 0) -> RingValue:
-    """Probability that the qubit, valid where a one-qubit gate is, reads 0,
-    from a dense vector of 2**n amplitudes, n >= 1."""
+    """Probability that the qubit, an integer in [0, n), reads 0, from a
+    dense vector of 2**n amplitudes, n >= 1."""
     n = (len(vec) - 1).bit_length()
     if len(vec) != 1 << n or n < 1:
         raise ValueError(f"need 2**n amplitudes with n >= 1, got {len(vec)}")
-    gate_support("z", (qubit,), n)
-    b = 1 << (n - 1 - qubit)
+    b = 1 << (n - 1 - whole(qubit, "qubit", 0, n))
     total = ZERO
     kept = ZERO
     for i, amp in enumerate(vec):

@@ -29,7 +29,7 @@ from .measure import (
     probability_as_decimal,
     sample_counts,
 )
-from .stabtrack import BoundReport, track
+from .stabtrack import BoundReport, track, whole
 
 
 class _UsageError(Exception):
@@ -216,8 +216,7 @@ def to_dot(state: State) -> str:
 
 def cmd_simulate(args) -> int:
     circuit = parse_qasm(_read_text(args.qasm))
-    if not 0 <= args.qubit < circuit.n_qubits:
-        raise _UsageError(f"--qubit {args.qubit} out of range")
+    whole(args.qubit, "--qubit", 0, circuit.n_qubits)  # before the simulation runs
     # an explicit tolerance is forwarded so exact + nonzero is rejected
     policy = CoeffPolicy(args.coeffs, args.tolerance)
     state, _, report = _run_report(
@@ -300,8 +299,7 @@ def cmd_bench(args) -> int:
         raise _UsageError(f"bad --sizes value {args.sizes!r}")
     if not sizes:
         raise _UsageError("no sizes given")
-    if args.seeds < 1:
-        raise _UsageError("--seeds must be at least 1")
+    whole(args.seeds, "--seeds", 1)
     fields = [
         "name", "backend", "coeffs", "tolerance", "n_qubits", "gates",
         "t_count", "h_count", "cz_count", "final_nodes", "peak_nodes",

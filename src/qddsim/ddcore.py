@@ -47,7 +47,6 @@ driver clears with each segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Iterable, NamedTuple
 
 from .coeff import CoeffPolicy, ScalarOps, bit_size, scalar_ops
@@ -69,6 +68,7 @@ from .pauli import (
     string_key,
     times_i,
 )
+from .stabtrack import whole
 
 
 class DiagramError(Exception):
@@ -122,10 +122,9 @@ class DDStore:
             raise ValueError(f"unknown diagram mode {mode!r}")
         if norm_rule not in ("low", "l2"):
             raise ValueError(f"unknown normalization rule {norm_rule!r}")
-        # maybe_collect would double a capacity below 1 forever.
-        if gc_capacity < 1:
-            raise ValueError(f"gc_capacity must be at least 1, got {gc_capacity}")
-        self.policy = policy if policy is not None else CoeffPolicy()
+        self.policy = CoeffPolicy() if policy is None else policy
+        if not isinstance(self.policy, CoeffPolicy):
+            raise ValueError(f"policy must be a CoeffPolicy, got {policy!r}")
         self.ops: ScalarOps = scalar_ops(self.policy)
         # Whether an edge is zero: its factor under the backend's zero test,
         # one call per edge.
@@ -149,7 +148,8 @@ class DDStore:
         self._zeros: dict[int, Edge] = {}
         self.snorm_cache: dict[int, object] = {}
         self.peak_nodes = 1
-        self.gc_capacity = gc_capacity
+        # maybe_collect would double a capacity below 1 forever.
+        self.gc_capacity = whole(gc_capacity, "gc_capacity", 1)
         self.gc_runs = 0
 
     # -- edge constructors -------------------------------------------------
@@ -475,8 +475,7 @@ class DDStore:
     def eval_amplitude(self, edge: Edge, index: int) -> object:
         """Amplitude of one basis state; bit k-1 of the index is qubit k."""
         n = edge.lim.string.n
-        if not (isinstance(index, Integral) and 0 <= index < 1 << n):
-            raise ValueError(f"basis index {index!r} is not an integer in [0, 2**{n})")
+        whole(index, "basis index", 0, 1 << n)
         cur = edge
         for m in range(n, 0, -1):
             cur = self.follow(cur, (index >> (m - 1)) & 1)

@@ -81,7 +81,7 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, NamedTuple
 
 from .coeff import within_coeff_bound
@@ -111,11 +111,6 @@ class GateInstance:
         gate_support(self.kind, self.qubits, sys.maxsize)
 
 
-PRIMITIVE_KINDS = frozenset(
-    {"h", "t", "tdg", "s", "sdg", "x", "y", "z", "cz", "swap"}
-)
-
-
 class GateCounts(NamedTuple):
     total: int
     t_count: int
@@ -124,9 +119,8 @@ class GateCounts(NamedTuple):
 
 
 def compile_gate(gate: GateInstance) -> tuple[GateInstance, ...]:
-    """Expand one gate into primitives."""
-    if gate.kind in PRIMITIVE_KINDS:
-        return (gate,)
+    """Expand one gate into primitives: cx as h-cz-h, ccx as the network of
+    ``stabtrack``; any other gate is its own."""
     if gate.kind == "cx":
         c, t = gate.qubits
         return (
@@ -134,10 +128,12 @@ def compile_gate(gate: GateInstance) -> tuple[GateInstance, ...]:
             GateInstance("cz", (c, t)),
             GateInstance("h", (t,)),
         )
-    q = gate.qubits  # ccx, the one kind left that a GateInstance can hold
-    return compile_sequence(
-        GateInstance(kind, tuple(q[i] for i in idx)) for kind, idx in _CCX_NETWORK
-    )
+    if gate.kind == "ccx":
+        q = gate.qubits
+        return compile_sequence(
+            GateInstance(kind, tuple(q[i] for i in idx)) for kind, idx in _CCX_NETWORK
+        )
+    return (gate,)
 
 
 def compile_sequence(gates: Iterable[GateInstance]) -> tuple[GateInstance, ...]:
@@ -338,29 +334,28 @@ def apply_gate(store: DDStore, edge: Edge, kind: str, bits: tuple[int, ...]) -> 
     ``gate_support`` raises ``ValueError``: the kind must be known and take
     as many distinct integer positions in [0, n) as ``bits`` holds."""
     gate = (kind, tuple(bits))
-    ops = _operations((gate,), edge.lim.string.n, store.mode == "limdd", False)
+    ops = _operations((gate,), edge.lim.string.n, store.mode == "limdd")
     return _apply_segment(store, edge, tuple(ops))
 
 
 # -- full-circuit driver ---------------------------------------------------
 
 
-def _operations(gates, n: int, limdd: bool, fuse: bool):
+def _operations(gates, n: int, limdd: bool):
     """The gates, ``(kind, bits)`` pairs on internal positions that must
     pass ``gate_support``, as top-level operations ``(kind, bits, arg)``.
 
-    With ``fuse``, single-qubit gates wait, one list of steps per qubit in
-    which adjacent diag steps add their octants (a qubit whose steps cancel
-    drops out), and all that wait leave together as one ``run`` over their
-    qubits, in both modes.  They leave before a multi-qubit gate that
-    touches a waiting qubit, and at the end; a multi-qubit gate on other
-    qubits commutes with them and leaves first.  The exception is a limdd
-    Pauli (a label multiply) on a qubit with no waiting steps, which leaves
+    Single-qubit gates wait, one list of steps per qubit in which adjacent
+    diag steps add their octants (a qubit whose steps cancel drops out),
+    and all that wait leave together as one ``run`` over their qubits, in
+    both modes.  They leave before a multi-qubit gate that touches a
+    waiting qubit, and at the end; a multi-qubit gate on other qubits
+    commutes with them and leaves first.  The exception is a limdd Pauli
+    (a label multiply) on a qubit with no waiting steps, which leaves
     first; on a waiting qubit it joins the steps.  So operations can leave
-    in another order than their gates.  Without ``fuse`` nothing waits:
-    every gate is one operation, in circuit order.  The kinds other than
-    ``run`` keep their gate name, and cz, swap and ccx take the higher of
-    their first two bits first."""
+    in another order than their gates; one gate alone is one operation.
+    The kinds other than ``run`` keep their gate name, and cz, swap and ccx
+    take the higher of their first two bits first."""
     waiting: dict[int, list] = {}
     for kind, bits in gates:
         gate_support(kind, bits, n)
@@ -372,8 +367,6 @@ def _operations(gates, n: int, limdd: bool, fuse: bool):
             if kind in ("cz", "swap", "ccx"):
                 bits = (max(bits[:2]), min(bits[:2])) + bits[2:]
             yield kind, bits, 0
-        elif not fuse:
-            yield "run", bits, ((step,),)
         else:
             steps = waiting.setdefault(bits[0], [])
             if step[0] == "diag" and steps and steps[-1][0] == "diag":
@@ -551,7 +544,8 @@ def simulate(
     limdd = store.mode == "limdd"
     fuse = not (check_coeffs or check_bounds)
     gates = ((g.kind, tuple(n - 1 - q for q in g.qubits)) for g in circuit.gates)
-    operations = _operations(gates, n, limdd, fuse)
+    batches = (gates,) if fuse else ((g,) for g in gates)  # checks: one gate each
+    operations = chain.from_iterable(_operations(b, n, limdd) for b in batches)
     length = 1
     while segment := tuple(islice(operations, length)):
         size = len(store.unique)

@@ -17,13 +17,12 @@ from __future__ import annotations
 import random
 from decimal import Decimal
 from math import inf, nextafter
-from numbers import Integral
 
 from .coeff import RingValue, real_decimal
 from .ddcore import DDStore, Edge, State
 from .gates import project
 from .pauli import lim_scale
-from .stabtrack import gate_support
+from .stabtrack import whole
 
 
 class ZeroStateError(Exception):
@@ -72,10 +71,8 @@ def _split_snorm(store: DDStore, edge: Edge, bit: int, memo: dict) -> tuple:
 
 
 def _bit(state: State, qubit: int) -> int:
-    """The qubit's internal bit; the qubit must be valid where a one-qubit
-    gate is (``gate_support``)."""
-    gate_support("z", (qubit,), state.n_qubits)
-    return state.n_qubits - 1 - qubit
+    """The qubit's internal bit; the qubit must be an integer in [0, n)."""
+    return state.n_qubits - 1 - whole(qubit, "qubit", 0, state.n_qubits)
 
 
 def measurement_probability(state: State, qubit: int = 0) -> object:
@@ -102,16 +99,17 @@ def sample(state: State, qubit: int = 0, rng: random.Random | int | None = None)
 def _least_float_at_least(p: Decimal) -> float:
     """The least float t with ``Decimal(repr(t)) >= p``.  ``repr`` is
     strictly increasing on floats, so for every float u,
-    ``Decimal(repr(u)) >= p`` exactly when ``u >= t``.  ``float(p)`` is the
-    float nearest p, so the search steps at most a few floats from it."""
+    ``Decimal(repr(u)) >= p`` exactly when ``u >= t``.
+
+    ``float(p)`` is the float u nearest p, so p lies in u's rounding
+    interval, the reals that round to u.  A float's ``repr`` reads back as
+    that float, so it lies in the float's own interval, and the intervals
+    of distinct floats are disjoint and ordered as the floats are.  So the
+    float below u has its ``repr`` below p, and the float above u has its
+    ``repr`` above p: t is u when ``repr(u)`` is not below p, and otherwise
+    the next float up."""
     t = float(p)
-    if Decimal(repr(t)) >= p:
-        while Decimal(repr(below := nextafter(t, -inf))) >= p:
-            t = below
-    else:
-        while Decimal(repr(t)) < p:
-            t = nextafter(t, inf)
-    return t
+    return t if Decimal(repr(t)) >= p else nextafter(t, inf)
 
 
 def sample_counts(
@@ -120,8 +118,7 @@ def sample_counts(
     """(zeros, ones) over ``shots`` draws.  The probability is computed once;
     each shot reads 1 when the Decimal of its uniform draw's ``repr`` is not
     below p0, which ``_least_float_at_least`` makes one float comparison."""
-    if not (isinstance(shots, Integral) and shots >= 0):
-        raise ValueError(f"shots must be a non-negative integer, got {shots!r}")
+    whole(shots, "shots")
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
     t = _least_float_at_least(probability_as_decimal(measurement_probability(state, qubit)))
@@ -138,8 +135,7 @@ def collapse(state: State, qubit: int, outcome: int) -> State:
         raise ValueError(
             "collapse requires the float backend; exact states are immutable"
         )
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
+    whole(outcome, "outcome", 0, 2)
     bit = _bit(state, qubit)
     total = squared_norm(store, state.root)
     if store.ops.is_zero(total):

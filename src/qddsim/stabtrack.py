@@ -35,6 +35,7 @@ marks every qubit dirty.
 """
 from __future__ import annotations
 
+from numbers import Integral
 from typing import NamedTuple
 
 from .pauli import Basis, Row, combine, conj_bits, echelon, reduce_key, row_mul, string_key
@@ -47,11 +48,24 @@ GATE_ARITY = {
 }
 
 
+def whole(value, what: str, low: int = 0, high: int | None = None) -> int:
+    """``value`` when it is an integer, not a bool, in [low, high), with no
+    upper bound when ``high`` is None; anything else raises ``ValueError``
+    naming ``what`` and the value.  Every count and index the API takes
+    passes this rule; ``gate_support`` applies the same rule to each
+    position with its own loop, since it runs once per gate."""
+    if type(value) is int or isinstance(value, Integral) and type(value) is not bool:
+        if low <= value and (high is None or value < high):
+            return value
+    bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+    raise ValueError(f"{what} must be an integer {bounds}, got {value!r}")
+
+
 def gate_support(kind: str, bits: tuple[int, ...], n: int) -> int:
     """The support mask of a well-formed gate: a known kind on as many
-    distinct integer positions, not bools, as that kind takes, each in
-    [0, n).  Register indices and internal bits pass or fail alike.  Raises
-    ``ValueError`` for anything else."""
+    distinct positions as that kind takes, each passing ``whole``'s rule
+    for [0, n).  Register indices and internal bits pass or fail alike.
+    Raises ``ValueError`` for anything else."""
     arity = GATE_ARITY.get(kind)
     if arity is None:
         raise ValueError(f"unknown gate kind {kind!r}")
@@ -100,9 +114,7 @@ class StabilizerTableau:
     """Signed stabilizer rows of the tracked state's surviving group."""
 
     def __init__(self, n_qubits: int) -> None:
-        if n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        self.n = n_qubits
+        self.n = whole(n_qubits, "qubit count", 1)
         self._rows: list[Row] = [(0, 0, 1 << k) for k in range(n_qubits)]
         self.pinned = (1 << n_qubits) - 1  # each Z_k is a row
         self.dirty = 0

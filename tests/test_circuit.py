@@ -232,6 +232,8 @@ def test_dense_probability_zero():
             dense_probability_zero(basis, qubit)
     with pytest.raises(ValueError):
         dense_probability_zero(vec[:6])
+    with pytest.raises(ValueError, match="zero vector"):
+        dense_probability_zero([ZERO, ZERO])
 
 
 @pytest.mark.parametrize("mode", ["limdd", "evdd"])

@@ -13,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from qddsim.circuit import emit_qasm, gen_wstate
+from qddsim.circuit import Circuit, GateInstance, emit_qasm, gen_wstate
 from qddsim.cli import main
 
 from conftest import LEADING, MOTIVATING, bell_pair
@@ -131,6 +131,22 @@ def test_simulate_stats_and_dot_files(qasm_file, capsys, tmp_path):
     assert dot.read_text() == text
 
 
+@pytest.mark.parametrize("coeffs, root_label", [
+    ("exact", "(1/2*sqrt2)*XI"),
+    ("float", "((0.7071067811865476+0j))*XI"),
+])
+def test_dot_labels_show_the_factor_and_pauli_string(qasm_file, capsys, tmp_path,
+                                                     coeffs, root_label):
+    """x q[0] then h q[1] leaves an X on the LIMDD root label, drawn after
+    the factor; the float backend draws the factor as a complex repr."""
+    dot = tmp_path / "diagram.dot"
+    circ = Circuit(2, (GateInstance("x", (0,)), GateInstance("h", (1,))))
+    assert main(["simulate", qasm_file(circ), "--coeffs", coeffs, "--dot", str(dot)]) == 0
+    capsys.readouterr()
+    roots = [line for line in dot.read_text().splitlines() if line.startswith("  root ->")]
+    assert len(roots) == 1 and roots[0].endswith(f"[label={json.dumps(root_label)}];")
+
+
 def test_simulate_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(emit_qasm(bell_pair())))
     code, report = run_json(capsys, ["simulate", "-"])
@@ -145,7 +161,11 @@ def test_simulate_exit_one_on_bad_input(tmp_path, capsys):
     assert main(["simulate", str(bad)]) == 1
     good = tmp_path / "ok.qasm"
     good.write_text("qreg q[2]; h q[0];")
-    assert main(["simulate", str(good), "--qubit", "5"]) == 1
+    capsys.readouterr()
+    for qubit in ("5", "2", "-1"):
+        assert main(["simulate", str(good), "--qubit", qubit]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --qubit must be an integer in [0, 2), got {qubit}")
     assert main(["simulate", str(good), "--backend", "bogus"]) == 1
     assert main(["nonsense"]) == 1
     assert main(["simulate", str(good), "--coeffs", "exact",

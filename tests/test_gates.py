@@ -19,10 +19,9 @@ from qddsim import (
     track,
 )
 from qddsim import gates
-from qddsim.coeff import INV_SQRT2, ONE, ZERO, CoeffPolicy
+from qddsim.coeff import INV_SQRT2, ONE, ZERO, CoeffPolicy, RingValue
 from qddsim.ddcore import DDStore, Edge
 from qddsim.gates import (
-    PRIMITIVE_KINDS,
     _apply,
     apply_gate,
     compile_gate,
@@ -59,7 +58,6 @@ def test_gate_instance_validation():
 
 
 def test_arity_table_covers_primitives():
-    assert PRIMITIVE_KINDS <= set(GATE_ARITY)
     assert GATE_ARITY["ccx"] == 3 and GATE_ARITY["cx"] == 2
 
 
@@ -79,7 +77,7 @@ def test_compile_cx_is_h_cz_h():
 
 def test_compile_ccx_counts():
     prims = compile_gate(GateInstance("ccx", (0, 1, 2)))
-    assert all(g.kind in PRIMITIVE_KINDS for g in prims)
+    assert not {g.kind for g in prims} & {"cx", "ccx"}
     counts = count_gates(prims)
     assert counts.total == 27
     assert counts.t_count == 7
@@ -222,7 +220,7 @@ def test_both_apply_gate_entry_points_share_one_contract():
                 apply_gate(store, root, kind, bits)
         for kind in ("cx", "ccx"):
             for bits in itertools.permutations(range(3), GATE_ARITY[kind]):
-                (op,) = gates._operations(((kind, bits),), 3, mode == "limdd", False)
+                (op,) = gates._operations(((kind, bits),), 3, mode == "limdd")
                 assert apply_gate(store, root, kind, bits) == _apply(store, root, op)
 
 
@@ -460,6 +458,20 @@ def test_runstats_checks_default_to_none():
     assert run.bound_report is None
 
 
+def test_verify_coeff_bound_rejects_large_labels():
+    """One qubit and no T give the bound 2**3: a root whose squared
+    magnitude is past it fails the check, and so does a bulk label."""
+    store = DDStore(mode="evdd")
+    one = store.terminal_edge(ONE)
+    small = store.make_edge(one, one)
+    assert gates.verify_coeff_bound(store, small, 1, 0)
+    assert not gates.verify_coeff_bound(store, store.scaled(RingValue(16), small), 1, 0)
+    wide = store.make_edge(one, store.terminal_edge(RingValue(16)))
+    assert wide.lim.factor == ONE and wide.node.high.lim.factor == RingValue(16)
+    assert not gates.verify_coeff_bound(store, wide, 1, 0)
+    assert gates.verify_coeff_bound(store, wide, 1, 2)  # 2**7 admits 16
+
+
 def test_coeff_check_skipped_for_float_backend():
     from qddsim.coeff import CoeffPolicy
 
@@ -479,6 +491,16 @@ def test_gc_kwargs_respected():
     for kwargs in ({"gc_capacity": -3}, {"gc_capacity": 0}):
         with pytest.raises(ValueError):
             simulate(circ, store=DDStore(**kwargs))
+
+
+def test_store_policy_must_be_a_coeff_policy():
+    """A policy given by its backend name, or as anything else that is not a
+    ``CoeffPolicy``, raises ``ValueError`` naming the type it needs."""
+    for policy in ("exact", "float", 0):
+        with pytest.raises(ValueError, match="CoeffPolicy"):
+            DDStore(policy)
+        with pytest.raises(ValueError, match="CoeffPolicy"):
+            simulate(gen_wstate(2), policy)
 
 
 def test_simulate_takes_a_store_alone():

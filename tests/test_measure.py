@@ -63,10 +63,13 @@ def test_qubit_out_of_range():
 
 
 def test_zero_state_raises():
-    store = DDStore()
-    state = State(store, store.zero_edge(2), 2)
-    with pytest.raises(ZeroStateError):
-        measurement_probability(state, 0)
+    for policy in (CoeffPolicy(), CoeffPolicy("float")):
+        store = DDStore(policy)
+        state = State(store, store.zero_edge(2), 2)
+        with pytest.raises(ZeroStateError, match="zero state"):
+            measurement_probability(state, 0)
+    with pytest.raises(ZeroStateError, match="zero state"):
+        collapse(state, 0, 0)
 
 
 @pytest.mark.parametrize("mode", ["limdd", "evdd"])
@@ -178,6 +181,16 @@ def test_sample_threshold_matches_the_decimal_rule():
         with localcontext() as ctx:
             ctx.prec = 80  # the neighbours must not round back to u
             probes += [u - Decimal("1E-40"), u, u + Decimal("1E-40")]
+    # exact midpoints between neighbouring floats, and points between them,
+    # for floats in [0, 1] and for subnormals
+    floats = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 1.0]
+    floats += [rng.random() for _ in range(100)]
+    floats += [rng.randrange(1, 1 << 52) * 5e-324 for _ in range(100)]
+    for u in floats:
+        lo, hi = Decimal(u), Decimal(nextafter(u, inf))
+        with localcontext() as ctx:
+            ctx.prec = 1200  # exact for every float's binary expansion
+            probes += [(lo + hi) / 2, lo + (hi - lo) * Decimal(rng.random())]
     for p0 in probes:
         assert _decimal_rule_threshold_holds(p0, _least_float_at_least(p0)), p0
 

@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from qddsim import (
     Circuit, GateInstance, dense_simulate, gen_grover, gen_random, gen_wstate, simulate,
 )
-from qddsim.coeff import I_UNIT, MINUS_ONE, ONE, ZERO
+from qddsim.circuit import dense_probability_zero
+from qddsim.coeff import I_UNIT, MINUS_ONE, ONE, ZERO, CoeffPolicy
+from qddsim.ddcore import DDStore
+from qddsim.measure import collapse, measurement_probability, sample_counts
 from qddsim.pauli import echelon, reduce_key, string_key
 from qddsim.stabtrack import _CCX_NETWORK, GATE_ARITY, BoundReport, StabilizerTableau, track
 
@@ -43,6 +47,48 @@ def run_tableau(circ: Circuit) -> StabilizerTableau:
     for g in circ.gates:
         tab.apply_gate(g.kind, tuple(circ.n_qubits - 1 - q for q in g.qubits))
     return tab
+
+
+# -- the integer rule ------------------------------------------------------
+
+def test_every_count_and_index_obeys_one_rule():
+    """Each entry point takes an integer, not a bool, in [low, high) (no
+    upper bound when high is None), and raises ``ValueError`` naming what
+    it takes and the value it got for anything else."""
+    exact, _ = simulate(gen_wstate(2))
+    floating, _ = simulate(gen_wstate(2), policy=CoeffPolicy("float"))
+    vec = dense_simulate(gen_wstate(2))
+    entries = [
+        ("register size", Circuit, 1, None),
+        ("measured qubit", lambda v: Circuit(2, (), ((v, 0),)), 0, 2),
+        ("classical bit", lambda v: Circuit(2, (), ((0, v),)), 0, None),
+        ("register size", gen_wstate, 1, None),
+        ("search qubit count", lambda v: gen_grover(v, 0), 1, None),
+        ("marked state", lambda v: gen_grover(2, v), 0, 4),
+        ("iterations", lambda v: gen_grover(2, 1, v), 0, None),
+        ("register size", lambda v: gen_random(v, 3, 0), 1, None),
+        ("depth", lambda v: gen_random(3, v, 0), 0, None),
+        ("gate ceilings: max_t", lambda v: gen_random(3, 2, 0, max_t=v), 0, None),
+        ("gate ceilings: max_h", lambda v: gen_random(3, 2, 0, max_h=v), 0, None),
+        ("qubit", lambda v: dense_probability_zero(vec, v), 0, 2),
+        ("qubit count", StabilizerTableau, 1, None),
+        ("gc_capacity", lambda v: DDStore(gc_capacity=v), 1, None),
+        ("basis index", exact.amplitude, 0, 4),
+        ("qubit", lambda v: measurement_probability(exact, v), 0, 2),
+        ("qubit", lambda v: sample_counts(exact, v), 0, 2),
+        ("shots", lambda v: sample_counts(exact, 0, v), 0, None),
+        ("qubit", lambda v: collapse(floating, v, 0), 0, 2),
+        ("outcome", lambda v: collapse(floating, 0, v), 0, 2),
+    ]
+    for what, call, low, high in entries:
+        call(low)
+        if high is not None:
+            call(high - 1)
+        bad = [True, False, 2.0, 2.5, "3", -1, low - 1] + ([high] if high is not None else [])
+        for value in bad:
+            message = f"^{re.escape(what)} .*{re.escape(repr(value))}$"
+            with pytest.raises(ValueError, match=message):
+                call(value)
 
 
 # -- basic tableau behavior ------------------------------------------------
@@ -104,18 +150,20 @@ def test_ccx_pinned_control_is_clifford():
 
 
 def test_ccx_pinned_target_is_clifford():
-    tab = StabilizerTableau(3)
-    tab.apply_gate("h", (0,))  # target in the +1 x eigenstate
-    assert tab.apply_gate("ccx", (2, 1, 0)) == 0
-    tab = StabilizerTableau(3)
-    tab.apply_gate("h", (0,))
-    tab.apply_gate("z", (0,))  # -1 x eigenstate: picks up a cz on the controls
-    assert tab.apply_gate("ccx", (2, 1, 0)) == 0
-    other = StabilizerTableau(3)
-    other.apply_gate("h", (0,))
-    other.apply_gate("z", (0,))
-    other.apply_gate("cz", (2, 1))
-    assert sorted(tab.rows) == sorted(other.rows)
+    """With the controls in superposition, so that neither is pinned, a
+    target in the +1 x eigenstate leaves the group as it is, and one in the
+    -1 x eigenstate applies a cz to the controls."""
+    for target_prep, then in ((("h",), ()), (("h", "z"), (("cz", (2, 1)),))):
+        tab, other = StabilizerTableau(3), StabilizerTableau(3)
+        for t in (tab, other):
+            t.apply_gate("h", (2,))
+            t.apply_gate("h", (1,))
+            for kind in target_prep:
+                t.apply_gate(kind, (0,))
+        assert tab.apply_gate("ccx", (2, 1, 0)) == 0
+        for kind, bits in then:
+            other.apply_gate(kind, bits)
+        assert sorted(tab.rows) == sorted(other.rows)
 
 
 def test_ccx_generic_drops_three():

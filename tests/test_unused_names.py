@@ -7,7 +7,8 @@ definition: in ``src/``, ``tests/`` or ``perfbench/``, or in the package's
 ``__all__``.  A fixture is used when a test names it as a parameter.  Dunder
 names are exempt.  A module of ``src/qddsim/`` other than ``__init__.py``
 uses every name it imports in its own code, so none is imported only to be
-re-exported.
+re-exported.  Only ``stabtrack.py`` names ``Integral``: its ``whole`` is the
+one rule for a whole-number input.
 """
 from __future__ import annotations
 
@@ -67,3 +68,14 @@ def test_every_imported_name_is_used_in_its_module():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in _imported_names(tree) if name not in used]
     assert not unused, unused
+
+
+def test_integer_rule_lives_in_stabtrack():
+    """``stabtrack.whole`` is the one rule for the counts and indices the
+    API takes, so no other module tests for ``Integral`` on its own."""
+    forks = [
+        path.name for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "stabtrack.py"
+        and re.search(r"\bIntegral\b", path.read_text(encoding="utf-8"))
+    ]
+    assert not forks, forks
