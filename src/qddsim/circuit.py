@@ -48,19 +48,11 @@ class Circuit:
 # -- qasm subset -----------------------------------------------------------
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_REF = rf"{_ID}\s*\[\s*\d+\s*\]"
 _REF_RE = re.compile(rf"({_ID})\s*\[\s*(\d+)\s*\]")
-_QREG_RE = re.compile(rf"qreg\s+({_ID})\s*\[\s*(\d+)\s*\]\s*$")
-_CREG_RE = re.compile(rf"creg\s+({_ID})\s*\[\s*(\d+)\s*\]\s*$")
-_MEASURE_RE = re.compile(
-    rf"measure\s+({_ID})\s*\[\s*(\d+)\s*\]\s*->\s*({_ID})\s*\[\s*(\d+)\s*\]\s*$"
-)
-_GATE_RE = re.compile(r"([a-z]+)\s+(.*)$", re.S)
-
-
-def _line_col(text: str, offset: int) -> tuple[int, int]:
-    line = text.count("\n", 0, offset) + 1
-    col = offset - (text.rfind("\n", 0, offset) + 1) + 1
-    return line, col
+_DECL_RE = re.compile(rf"[qc]reg\s+({_ID})\s*\[\s*(\d+)\s*\]")
+_MEASURE_RE = re.compile(rf"measure\s+({_REF})\s*->\s*({_REF})")
+_GATE_RE = re.compile(r"([a-z]+)\s+(.*)", re.S)
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -69,103 +61,72 @@ def parse_qasm(text: str) -> Circuit:
     clean = re.sub(r"//[^\n]*", lambda m: " " * len(m.group(0)), text)
 
     def err(message: str, offset: int):
-        line, col = _line_col(text, offset)
-        raise QasmParseError(message, line, col)
+        line = text.count("\n", 0, offset) + 1
+        raise QasmParseError(message, line, offset - text.rfind("\n", 0, offset))
 
-    statements: list[tuple[int, str]] = []
-    start = 0
-    while start < len(clean):
-        idx = clean.find(";", start)
-        if idx < 0:
-            if clean[start:].strip():
-                off = start + len(clean[start:]) - len(clean[start:].lstrip())
-                err("statement missing ';'", off)
-            break
-        statements.append((start, clean[start:idx]))
-        start = idx + 1
+    def index(operand: str, reg: tuple[str, int], what: str, offset: int) -> int:
+        ref = _REF_RE.fullmatch(operand)
+        if ref is None:
+            err(f"malformed operand {operand!r}", offset)
+        if ref.group(1) != reg[0]:
+            err(f"unknown register {ref.group(1)!r}", offset)
+        i = int(ref.group(2))
+        if i >= reg[1]:
+            err(f"{what} index {i} out of range", offset)
+        return i
 
-    qreg: tuple[str, int] | None = None
-    creg: tuple[str, int] | None = None
+    *bodies, tail = clean.split(";")
+    if tail.strip():
+        err("statement missing ';'", len(clean) - len(tail.lstrip()))
+
+    regs: dict[str, tuple[str, int]] = {}  # "qreg" / "creg" -> (name, size)
     gates: list[GateInstance] = []
     measurements: list[tuple[int, int]] = []
-
-    for raw_off, body in statements:
-        stripped = body.strip()
-        if not stripped:
+    start = 0
+    for body in bodies:
+        stmt, off = body.strip(), start + len(body) - len(body.lstrip())
+        start += len(body) + 1
+        if not stmt:
             continue
-        off = raw_off + len(body) - len(body.lstrip())
-        head = stripped.split(None, 1)[0]
+        head = stmt.split(None, 1)[0]
         if head == "OPENQASM":
-            if stripped != "OPENQASM 2.0":
+            if stmt.split() != ["OPENQASM", "2.0"]:
                 err("only OPENQASM 2.0 is supported", off)
-            continue
-        if head == "include":
-            continue
-        if head == "qreg":
-            m = _QREG_RE.fullmatch(stripped)
+        elif head in ("qreg", "creg"):
+            m = _DECL_RE.fullmatch(stmt)
             if m is None:
-                err("malformed qreg declaration", off)
-            if qreg is not None:
-                err("only one qreg is supported", off)
-            size = int(m.group(2))
-            if size < 1:
+                err(f"malformed {head} declaration", off)
+            if head in regs:
+                err(f"only one {head} is supported", off)
+            if head == "qreg" and int(m.group(2)) < 1:
                 err("qreg must hold at least one qubit", off)
-            qreg = (m.group(1), size)
-            continue
-        if head == "creg":
-            m = _CREG_RE.fullmatch(stripped)
-            if m is None:
-                err("malformed creg declaration", off)
-            if creg is not None:
-                err("only one creg is supported", off)
-            creg = (m.group(1), int(m.group(2)))
-            continue
-        if head == "measure":
-            m = _MEASURE_RE.fullmatch(stripped)
+            regs[head] = (m.group(1), int(m.group(2)))
+        elif head == "measure":
+            m = _MEASURE_RE.fullmatch(stmt)
             if m is None:
                 err("malformed measure statement", off)
-            if qreg is None:
+            if "qreg" not in regs:
                 err("measure before qreg declaration", off)
-            if creg is None:
+            if "creg" not in regs:
                 err("measure requires a creg", off)
-            if m.group(1) != qreg[0]:
-                err(f"unknown register {m.group(1)!r}", off)
-            if m.group(3) != creg[0]:
-                err(f"unknown register {m.group(3)!r}", off)
-            q, c = int(m.group(2)), int(m.group(4))
-            if q >= qreg[1]:
-                err(f"qubit index {q} out of range", off)
-            if c >= creg[1]:
-                err(f"classical index {c} out of range", off)
-            measurements.append((q, c))
-            continue
-        m = _GATE_RE.fullmatch(stripped)
-        if m is None or m.group(1) not in GATE_ARITY:
-            err(f"unsupported statement {head!r}", off)
-        kind = m.group(1)
-        if qreg is None:
-            err("gate before qreg declaration", off)
-        args = [a.strip() for a in m.group(2).split(",")]
-        qubits: list[int] = []
-        for a in args:
-            ref = _REF_RE.fullmatch(a)
-            if ref is None:
-                err(f"malformed operand {a!r}", off)
-            if ref.group(1) != qreg[0]:
-                err(f"unknown register {ref.group(1)!r}", off)
-            q = int(ref.group(2))
-            if q >= qreg[1]:
-                err(f"qubit index {q} out of range", off)
-            qubits.append(q)
-        try:
-            gates.append(GateInstance(kind, tuple(qubits)))
-        except ValueError as exc:
-            err(str(exc), off)
-        continue
+            q = index(m.group(1), regs["qreg"], "qubit", off)
+            measurements.append((q, index(m.group(2), regs["creg"], "classical", off)))
+        elif head != "include":
+            m = _GATE_RE.fullmatch(stmt)
+            if m is None or m.group(1) not in GATE_ARITY:
+                err(f"unsupported statement {head!r}", off)
+            if "qreg" not in regs:
+                err("gate before qreg declaration", off)
+            args = m.group(2).split(",")
+            qubits = tuple(index(a.strip(), regs["qreg"], "qubit", off) for a in args)
+            try:
+                gates.append(GateInstance(m.group(1), qubits))
+            except ValueError as exc:
+                err(str(exc), off)
 
-    if qreg is None:
+    if "qreg" not in regs:
         raise QasmParseError("no qreg declaration", 1, 1)
-    return Circuit(qreg[1], tuple(gates), tuple(measurements))
+    return Circuit(regs["qreg"][1], tuple(gates), tuple(measurements))
 
 
 def emit_qasm(circuit: Circuit) -> str:
@@ -277,6 +238,9 @@ def gen_random(
         if n >= 2:
             pool += ["cx", "cz", "swap"]
     else:
+        for k in kinds:
+            if k not in GATE_ARITY:
+                raise ValueError(f"unknown gate kind {k!r}")
         pool = [k for k in kinds if GATE_ARITY[k] <= n]
         if not pool:
             raise ValueError("no usable gate kinds")

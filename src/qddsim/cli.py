@@ -6,9 +6,9 @@ requested runtime check (--check-coeffs / --check-bounds) was violated.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
-import os
 import sys
 from decimal import Decimal
 
@@ -328,15 +328,15 @@ def cmd_bench(args) -> int:
                     "runtime_ms": f"{report['runtime_ms']:.3f}",
                     "seed": "" if used_seed is None else used_seed,
                 })
-    if args.out is None:
-        writer = csv.DictWriter(sys.stdout, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-        return 0
-    fresh = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
-    with open(args.out, "a", newline="", encoding="utf-8") as out:
+    with (
+        contextlib.nullcontext(sys.stdout) if args.out is None
+        else open(args.out, "a", newline="", encoding="utf-8")
+    ) as out:
         writer = csv.DictWriter(out, fieldnames=fields)
-        if fresh:
+        # Stdout always gets the header; a file gets it only when new or
+        # empty (append mode opens at the end), so repeated runs append rows
+        # under one header.
+        if args.out is None or out.tell() == 0:
             writer.writeheader()
         writer.writerows(rows)
     return 0

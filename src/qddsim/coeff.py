@@ -33,6 +33,7 @@ from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from functools import cmp_to_key
 from math import copysign, gcd, isfinite, lcm
+from numbers import Real
 
 class RingValue:
     """One exact coefficient ``(a + b*sqrt2 + c*i + d*i*sqrt2) / den``."""
@@ -302,14 +303,14 @@ class CoeffPolicy:
             object.__setattr__(
                 self, "tolerance", 0.0 if self.backend == "exact" else 1e-14
             )
-        if self.backend == "exact" and self.tolerance != 0.0:
+        # A bool is no tolerance (True would read every weight up to 1 as
+        # zero), NaN makes every comparison false (then a division by zero),
+        # and an infinite tolerance treats every value as zero.
+        tol = self.tolerance
+        if type(tol) is bool or not isinstance(tol, Real) or not (isfinite(tol) and tol >= 0):
+            raise ValueError(f"tolerance must be a finite non-negative number, got {tol!r}")
+        if self.backend == "exact" and tol != 0.0:
             raise ValueError("exact backend has no tolerance")
-        # NaN makes every comparison false (then a division by zero), and an
-        # infinite tolerance treats every value as zero.
-        if not (isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError(
-                f"tolerance must be finite and non-negative, got {self.tolerance}"
-            )
 
 
 def _argmin_cmp(x: RingValue, y: RingValue) -> int:

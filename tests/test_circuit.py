@@ -88,35 +88,45 @@ def test_parse_tolerates_layout():
     )
 
 
-BAD_PROGRAMS = [
-    ("", "no qreg"),
-    ("qreg q[2]", "missing ';'"),
-    ("OPENQASM 3.0;\nqreg q[1];", "version"),
-    ("qreg q[0];", "empty register"),
-    ("qreg q[2]; qreg r[2];", "second qreg"),
-    ("qreg q[];", "malformed qreg"),
-    ("creg c[x];\nqreg q[1];", "malformed creg"),
-    ("qreg q[1]; creg c[1]; creg d[1];", "second creg"),
-    ("measure q[0] -> c[0];", "measure before qreg"),
-    ("qreg q[1]; measure q[0] -> c[0];", "measure without creg"),
-    ("qreg q[1]; creg c[1]; measure r[0] -> c[0];", "unknown register"),
-    ("qreg q[1]; creg c[1]; measure q[1] -> c[0];", "qubit range"),
-    ("qreg q[1]; creg c[1]; measure q[0] -> c[9];", "classical range"),
-    ("qreg q[2]; foo q[0];", "unsupported gate"),
-    ("h q[0]; qreg q[1];", "gate before qreg"),
-    ("qreg q[2]; h q;", "malformed operand"),
-    ("qreg q[2]; h r[0];", "unknown register in gate"),
-    ("qreg q[2]; h q[5];", "gate qubit range"),
-    ("qreg q[2]; cx q[0];", "arity"),
-    ("qreg q[2]; cx q[1], q[1];", "duplicate qubits"),
+BAD_PROGRAMS = [  # (text, label, expected message)
+    ("", "no qreg", "no qreg declaration"),
+    ("qreg q[2]", "missing ';'", "statement missing ';'"),
+    ("OPENQASM 3.0;\nqreg q[1];", "version", "only OPENQASM 2.0 is supported"),
+    ("qreg q[0];", "empty register", "qreg must hold at least one qubit"),
+    ("qreg q[2]; qreg r[2];", "second qreg", "only one qreg is supported"),
+    ("qreg q[];", "malformed qreg", "malformed qreg declaration"),
+    ("creg c[x];\nqreg q[1];", "malformed creg", "malformed creg declaration"),
+    ("qreg q[1]; creg c[1]; creg d[1];", "second creg", "only one creg is supported"),
+    ("measure q[0] -> c[0];", "measure before qreg", "measure before qreg declaration"),
+    ("qreg q[1]; measure q[0] -> c[0];", "measure without creg", "measure requires a creg"),
+    ("qreg q[1]; creg c[1]; measure r[0] -> c[0];", "unknown register", "unknown register 'r'"),
+    ("qreg q[1]; creg c[1]; measure q[1] -> c[0];", "qubit range", "qubit index 1 out of range"),
+    ("qreg q[1]; creg c[1]; measure q[0] -> c[9];", "classical range",
+     "classical index 9 out of range"),
+    ("qreg q[1]; creg c[1]; measure q -> c[0];", "malformed measure", "malformed measure statement"),
+    ("qreg q[2]; foo q[0];", "unsupported gate", "unsupported statement 'foo'"),
+    ("h q[0]; qreg q[1];", "gate before qreg", "gate before qreg declaration"),
+    ("qreg q[2]; h q;", "malformed operand", "malformed operand 'q'"),
+    ("qreg q[2]; h r[0];", "unknown register in gate", "unknown register 'r'"),
+    ("qreg q[2]; h q[5];", "gate qubit range", "qubit index 5 out of range"),
+    ("qreg q[2]; cx q[0];", "arity", "cx takes 2 distinct integer position(s)"),
+    ("qreg q[2]; cx q[1], q[1];", "duplicate qubits", "cx takes 2 distinct integer position(s)"),
 ]
 
 
-@pytest.mark.parametrize("text,label", BAD_PROGRAMS, ids=[b[1] for b in BAD_PROGRAMS])
-def test_parse_rejects(text, label):
+@pytest.mark.parametrize(
+    "text,label,message", BAD_PROGRAMS, ids=[b[1] for b in BAD_PROGRAMS]
+)
+def test_parse_rejects(text, label, message):
     with pytest.raises(QasmParseError) as exc:
         parse_qasm(text)
     assert exc.value.line >= 1 and exc.value.col >= 1
+    assert exc.value.message.startswith(message)
+
+
+@pytest.mark.parametrize("gap", ["  ", "\t", "\n"], ids=["two spaces", "tab", "newline"])
+def test_header_takes_any_whitespace(gap):
+    assert parse_qasm(GOOD.replace("OPENQASM 2.0", f"OPENQASM{gap}2.0")) == parse_qasm(GOOD)
 
 
 def test_parse_error_location():
@@ -207,6 +217,9 @@ def test_gen_random_caps_and_determinism():
         gen_random(2, -1, seed=1)
     with pytest.raises(ValueError):
         gen_random(1, 5, seed=1, kinds=("cx",))  # nothing fits one qubit
+    for kinds in (("rx",), "cx"):  # a string is read one letter at a time
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            gen_random(3, 5, seed=0, kinds=kinds)
     for ceilings in ({"max_t": -2}, {"max_h": -1}):
         with pytest.raises(ValueError):
             gen_random(3, 10, seed=1, **ceilings)

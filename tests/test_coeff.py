@@ -188,8 +188,8 @@ def test_coeff_policy_validation():
     assert CoeffPolicy("float", 0.0).tolerance == 0.0
     with pytest.raises(ValueError):
         CoeffPolicy("exact", 1e-9)
-    for bad in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+    for bad in (-1.0, float("nan"), float("inf"), True, False, "1e-3"):
+        with pytest.raises(ValueError, match="tolerance"):
             CoeffPolicy("float", bad)
     with pytest.raises(ValueError):
         CoeffPolicy("decimal")
