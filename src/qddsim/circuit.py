@@ -237,6 +237,8 @@ def gen_random(
         pool = ["h", "t", "tdg", "s", "sdg", "x", "y", "z"]
         if n >= 2:
             pool += ["cx", "cz", "swap"]
+    elif isinstance(kinds, str):  # it would be read one letter at a time
+        raise ValueError(f"kinds must be a collection of gate kinds, not the string {kinds!r}")
     else:
         for k in kinds:
             if k not in GATE_ARITY:

@@ -1,44 +1,50 @@
 """Stabilizer-rank tracking for diagram-width ceilings.
 
-A tableau of signed Pauli rows follows the circuit from the all-zero state.
-Clifford gates conjugate every row exactly.  A non-Clifford gate cannot keep
-the whole group, so it keeps the subgroup that commutes with it: rows are
-combined so that at most a few carry the offending component, those few are
-discarded, and the rest survive unchanged.  The nullity (qubits minus
-surviving rows) upper-bounds the log of the widest diagram level in limdd
-mode; the local nullity (qubits minus positions still pinned by a weight-one
-row in the string span) plays the same role for evdd mode.
+A tableau follows the circuit from the all-zero state.  It holds the state's
+stabilizer group S and, beside it, generators L such that S and L together
+span S⊥, the Pauli strings that commute with every member of S.  Clifford
+gates conjugate every generator exactly.  A non-Clifford gate cannot keep
+the whole group, so it keeps the subgroup that commutes with it.  The
+nullity (qubits minus rows of S) upper-bounds the log of the widest diagram
+level in limdd mode; the local nullity (qubits not pinned by a weight-one
+string in S) plays the same role for evdd mode.
 
-Rows are kernel rows (k, x, z) of ``pauli`` with k in {0, 2}: i**k times
-the string.  Stabilizer groups are abelian and never contain minus identity,
-so products are order-independent and every member is fixed by its string.
-Membership reduces strings against the group's echelon basis.  The nullities
-are ranks, so they do not depend on the key order.
+The generators are stored by column, bit r of every mask for generator r:
+per qubit q an x mask and a z mask of the generators' bits at q, one sign
+mask, ``stab`` for the rows of S and ``comm`` for the generators that span
+S⊥.  A Clifford gate is a few integer operations on the columns of its
+qubits, with the sign rules of ``pauli.conj_bits``.
 
-The local nullity is kept incrementally in two qubit masks: ``pinned``, the
-qubits with a weight-one string in the group, and ``dirty``, the qubits whose
-status is unknown.  A gate changes only what it touches:
+- Pin rule.  A weight-one string at q is in S iff it commutes with every
+  generator of S⊥, because S = (S⊥)⊥.  So q is pinned iff its x column or
+  its z column is zero (Z_q or X_q is in S) or the two are equal (Y_q is),
+  read over ``comm``.  A gate can change the pin only of a qubit it acts
+  on, since U† P_p U = P_p off its support, and a single-qubit Clifford
+  maps the weight-one strings on its qubit to weight-one strings there; so
+  ``cx``, ``cz``, ``swap`` and a discard recheck their qubits, nothing else.
+- Discard rule.  A t or tdg at q keeps the members of S with no x bit at q.
+  The first row of S that has one, the pivot, is multiplied into the other
+  rows that have one, their phases from a bit-sliced count mod 4 over the
+  pivot's support.  The pivot then leaves S for L, and Z_q joins L: the
+  kept group's commutant is the old one plus Z_q.  A ccx that does not
+  reduce to a Clifford discards the x bit at each control the same way and
+  the z bit at its target, where X_t joins L instead.
 
-- h, s, sdg, x, y, z keep both masks: a single-qubit Clifford maps the
-  weight-one strings on its qubit to weight-one strings on that qubit.
-- swap exchanges its two bits in both masks.
-- cx and cz mark both qubits dirty.
-- A qubit outside a gate's support keeps its status, since U† P_q U = P_q.
-- A discard that drops a row at q unpins q and clears its dirty bit: were a
-  weight-one string at q in the group, every member would commute with it
-  and none would carry the discarded component.  Other pins survive, since a
-  weight-one string elsewhere has no bit at q; a discard that drops nothing
-  leaves the group as it was.
-
-``local_nullity`` rechecks only the dirty qubits, and assigning ``rows``
-marks every qubit dirty.
+``rows`` reads S back as kernel rows (k, x, z) of ``pauli`` with k in {0, 2}:
+i**k times the string, in the order the rows were made, which is the order
+in which the pivot is chosen.  Stabilizer groups are abelian and never
+contain minus identity, so every member is fixed by its string; membership
+with a sign reduces the string against the rows' echelon basis.  Assigning
+``rows`` takes any rows, dependent or not commuting, as S, and finds
+generators of S⊥ by one elimination: the discard rule run on the whole
+Pauli group, once per row.
 """
 from __future__ import annotations
 
 from numbers import Integral
 from typing import NamedTuple
 
-from .pauli import Basis, Row, combine, conj_bits, echelon, reduce_key, row_mul, string_key
+from .pauli import Basis, Row, combine, echelon, reduce_key, string_key
 
 GATE_ARITY = {
     "h": 1, "t": 1, "tdg": 1, "s": 1, "sdg": 1,
@@ -85,8 +91,6 @@ def gate_support(kind: str, bits: tuple[int, ...], n: int) -> int:
     )
 
 
-_CLIFFORD_KINDS = frozenset({"h", "s", "sdg", "x", "y", "z", "cz", "cx", "swap"})
-
 # ccx(a, b, t) as the standard seven-T network; indices pick from (a, b, t).
 _CCX_NETWORK = (
     ("h", (2,)), ("cx", (1, 2)), ("tdg", (2,)), ("cx", (0, 2)), ("t", (2,)),
@@ -110,28 +114,98 @@ def _signed_in(basis: Basis, sign: int, x: int, z: int) -> bool:
     return key == 0 and combine(basis, used)[0] == 2 * sign
 
 
+def _bits(mask: int):
+    """The positions of the mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class StabilizerTableau:
-    """Signed stabilizer rows of the tracked state's surviving group."""
+    """The tracked state's stabilizer group S and its commutant S⊥, held
+    by column: ``x[q]`` and ``z[q]`` have bit r set when generator r has an
+    x or z bit at qubit q, ``sign`` when it carries a minus sign.  ``stab``
+    marks the generators that are rows of S and ``comm`` those that span
+    S⊥; ``pinned`` marks the qubits with a weight-one string in S."""
 
     def __init__(self, n_qubits: int) -> None:
         self.n = whole(n_qubits, "qubit count", 1)
-        self._rows: list[Row] = [(0, 0, 1 << k) for k in range(n_qubits)]
-        self.pinned = (1 << n_qubits) - 1  # each Z_k is a row
-        self.dirty = 0
+        everything = (1 << n_qubits) - 1  # each Z_k is a row, and S⊥ = S
+        self._load([(0, 0, 1 << k) for k in range(n_qubits)], everything, everything)
+        self._repin(range(n_qubits))
+
+    def _load(self, gens: list[Row], stab: int, comm: int) -> None:
+        """Hold ``gens[r]`` as generator r."""
+        n = self.n
+        self.x, self.z = [0] * n, [0] * n
+        self.sign = 0
+        for r, (k, x, z) in enumerate(gens):
+            bit = 1 << r
+            self.sign |= bit if k & 2 else 0
+            for q in _bits(x):
+                self.x[q] |= bit
+            for q in _bits(z):
+                self.z[q] |= bit
+        self.size = len(gens)
+        self.stab, self.comm = stab, comm
+        self.pinned = 0
+
+    def _repin(self, qubits) -> None:
+        """Recheck the pin of each qubit: a weight-one string at q is in S
+        iff it commutes with all of S⊥, since S = (S⊥)⊥.  X_q does iff no
+        generator of S⊥ has a z bit at q, Z_q iff none has an x bit, and Y_q
+        iff each has both or neither."""
+        comm, pinned = self.comm, self.pinned
+        for q in qubits:
+            x, z = self.x[q] & comm, self.z[q] & comm
+            if x and z and x != z:
+                pinned &= ~(1 << q)
+            else:
+                pinned |= 1 << q
+        self.pinned = pinned
 
     @property
     def rows(self) -> list[Row]:
-        return self._rows
+        """The rows of S as kernel rows, in the order they were made."""
+        index = list(_bits(self.stab))
+        xs, zs = dict.fromkeys(index, 0), dict.fromkeys(index, 0)
+        for q in range(self.n):
+            for r in _bits(self.x[q] & self.stab):
+                xs[r] |= 1 << q
+            for r in _bits(self.z[q] & self.stab):
+                zs[r] |= 1 << q
+        return [((self.sign >> r & 1) << 1, xs[r], zs[r]) for r in index]
 
     @rows.setter
     def rows(self, rows: list[Row]) -> None:
-        self._rows = rows
-        self.dirty = (1 << self.n) - 1
+        """Take the rows as S.  They may be dependent or fail to commute, so
+        S⊥ gets generators of its own: X_q and Z_q for every q, cut down row
+        by row with the discard rule.  Signs keep their meaning only while
+        the rows commute."""
+        rows = list(rows)
+        if any(k & 1 for k, _, _ in rows):
+            raise ValueError("a tableau row is i**k times its string with k in {0, 2}")
+        n, m = self.n, len(rows)
+        singles = [(0, 1 << q, 0) for q in range(n)] + [(0, 0, 1 << q) for q in range(n)]
+        self._load(rows + singles, (1 << m) - 1, ((1 << 2 * n) - 1) << m)
+        for _, x, z in rows:
+            hit = 0  # the generators that anticommute with the row
+            for q in _bits(x):
+                hit ^= self.z[q]
+            for q in _bits(z):
+                hit ^= self.x[q]
+            hit &= self.comm
+            if hit:
+                pivot = hit & -hit
+                self._multiply(hit ^ pivot, pivot)
+                self.comm ^= pivot
+        self._repin(range(n))
 
     # -- membership --------------------------------------------------------
 
     def contains(self, sign: int, x: int, z: int) -> bool:
-        return _signed_in(echelon(self._rows), sign, x, z)
+        return _signed_in(echelon(self.rows), sign, x, z)
 
     # -- gate updates ------------------------------------------------------
 
@@ -139,114 +213,141 @@ class StabilizerTableau:
         """Update for one gate on internal bit positions; returns how many
         rows were dropped.  A gate that fails ``gate_support`` raises
         ``ValueError``: the kind must be known and take as many distinct
-        integer bits in [0, n) as ``bits`` holds."""
-        support = gate_support(kind, bits, self.n)
-        if kind in _CLIFFORD_KINDS:
-            rows: list[Row] = []
-            for row in self._rows:  # a row off the support conjugates to itself
-                k, x, z = row
-                if (x | z) & support:
-                    x, z, flip = conj_bits(kind, bits, x, z)
-                    row = (k ^ (flip << 1), x, z)
-                rows.append(row)
-            self._rows = rows
-            if kind == "swap":  # exchanging two bits flips both iff they differ
-                a, b = bits
-                self.pinned ^= support * ((self.pinned >> a ^ self.pinned >> b) & 1)
-                self.dirty ^= support * ((self.dirty >> a ^ self.dirty >> b) & 1)
-            elif kind in ("cx", "cz"):
-                self.dirty |= support
-            return 0
-        if kind in ("t", "tdg"):
-            return self._discard_component(x_mask=support, z_mask=0)
-        return self._apply_toffoli(*bits)  # ccx
+        integer bits in [0, n) as ``bits`` holds.
 
-    def _discard_component(self, x_mask: int, z_mask: int) -> int:
-        """Drop the (at most one-dimensional) part of the group that fails
-        to commute with a gate, marked by a single x- or z-bit."""
-        pivot = None
-        kept: list[Row] = []
-        for row in self._rows:
-            if (row[1] & x_mask) or (row[2] & z_mask):
-                if pivot is None:
-                    pivot = row
-                else:
-                    kept.append(row_mul(row, pivot))
-            else:
-                kept.append(row)
-        self._rows = kept
-        if pivot is None:
+        Clifford gates conjugate every generator at once, with the sign
+        rules of ``pauli.conj_bits``.  A single-qubit Clifford keeps every
+        pin, since it maps the weight-one strings on its qubit to weight-one
+        strings there; the two-qubit ones recheck their qubits."""
+        gate_support(kind, bits, self.n)
+        xs, zs = self.x, self.z
+        q = bits[0]
+        if kind in ("t", "tdg"):
+            return self._discard(q, xs, zs)
+        if kind == "ccx":
+            return self._apply_toffoli(*bits)
+        if kind == "h":
+            self.sign ^= xs[q] & zs[q]
+            xs[q], zs[q] = zs[q], xs[q]
+        elif kind == "s":
+            self.sign ^= xs[q] & zs[q]
+            zs[q] ^= xs[q]
+        elif kind == "sdg":
+            self.sign ^= xs[q] & ~zs[q]
+            zs[q] ^= xs[q]
+        elif kind == "x":
+            self.sign ^= zs[q]
+        elif kind == "y":
+            self.sign ^= xs[q] ^ zs[q]
+        elif kind == "z":
+            self.sign ^= xs[q]
+        else:
+            b = bits[1]
+            if kind == "cx":
+                self.sign ^= xs[q] & zs[b] & ~(xs[b] ^ zs[q])
+                xs[b] ^= xs[q]
+                zs[q] ^= zs[b]
+            elif kind == "cz":
+                self.sign ^= xs[q] & xs[b] & (zs[q] ^ zs[b])
+                zs[q] ^= xs[b]
+                zs[b] ^= xs[q]
+            else:  # swap
+                xs[q], xs[b] = xs[b], xs[q]
+                zs[q], zs[b] = zs[b], zs[q]
+            self._repin(bits)
+        return 0
+
+    def _discard(self, q: int, marks: list[int], joins: list[int]) -> int:
+        """Keep the members of S with no ``marks`` bit at q: the x bits
+        for a diagonal gate, the z bits for an x-diagonal one.
+
+        The first row that has one, the pivot, is multiplied into the
+        others that have one and then leaves S.  ``comm`` keeps all it
+        had, since the kept group's commutant holds the old one, and gains
+        the weight-one string at q whose ``joins`` bit is set (Z_q or X_q),
+        which commutes with every member kept."""
+        hit = self.stab & marks[q]
+        if not hit:
             return 0
-        self.pinned &= ~(x_mask | z_mask)
-        self.dirty &= ~(x_mask | z_mask)
+        pivot = hit & -hit
+        self._multiply(hit ^ pivot, pivot)
+        self.stab ^= pivot
+        bit = 1 << self.size
+        self.size += 1
+        self.comm |= bit
+        joins[q] |= bit
+        self._repin((q,))
         return 1
 
+    def _multiply(self, rows: int, pivot: int) -> None:
+        """Multiply the pivot into each generator the mask ``rows`` marks,
+        ``pauli.row_mul(row, pivot)`` for all of them at once.  On each
+        qubit of the pivot's support a row's letter times the pivot's adds
+        a quarter turn when the row's letter comes just before the pivot's
+        in the cycle X, Y, Z, and takes one away when it comes just after;
+        ``lo`` and ``hi`` count the turns mod 4, bit r for row r.  Rows
+        that commute with the pivot end with an even count."""
+        if not rows:
+            return
+        xs, zs = self.x, self.z
+        lo = hi = 0
+        for q in range(self.n):
+            px, pz = xs[q] & pivot, zs[q] & pivot
+            if not (px or pz):
+                continue
+            rx, rz = xs[q] & rows, zs[q] & rows
+            if px and pz:  # XY = iZ, ZY = -iX
+                up, down = rx & ~rz, rz & ~rx
+            elif px:  # ZX = iY, YX = -iZ
+                up, down = rz & ~rx, rx & rz
+            else:  # YZ = iX, XZ = -iY
+                up, down = rx & rz, rx & ~rz
+            hi ^= lo & up
+            lo ^= up
+            hi ^= down & ~lo
+            lo ^= down
+            if px:
+                xs[q] ^= rows
+            if pz:
+                zs[q] ^= rows
+        self.sign ^= hi ^ (rows if self.sign & pivot else 0)
+
+    def _pinned_sign(self, q: int, x: int, z: int) -> int | None:
+        """The sign s with which (-1)**s times the weight-one string (x, z)
+        at q is in S, or None.  The pin rule decides membership from the
+        columns; only a member needs the rows' echelon basis for its sign."""
+        if (self.z if x else self.x)[q] & self.comm:
+            return None
+        basis = echelon(self.rows)
+        for sign in (0, 1):
+            if _signed_in(basis, sign, x, z):
+                return sign
+        return None
+
     def _apply_toffoli(self, c1: int, c2: int, t: int) -> int:
-        basis = echelon(self._rows)
         # The gate degenerates to a Clifford whenever a control is pinned to
         # a basis value or the target is pinned to an x eigenstate.
         for bit, other in ((c1, c2), (c2, c1)):
-            if _signed_in(basis, 0, 0, 1 << bit):
+            sign = self._pinned_sign(bit, 0, 1 << bit)
+            if sign is not None:
+                if sign:
+                    self.apply_gate("cx", (other, t))
                 return 0
-            if _signed_in(basis, 1, 0, 1 << bit):
-                self.apply_gate("cx", (other, t))
-                return 0
-        if _signed_in(basis, 0, 1 << t, 0):
+        sign = self._pinned_sign(t, 1 << t, 0)
+        if sign is not None:
+            if sign:
+                self.apply_gate("cz", (c1, c2))
             return 0
-        if _signed_in(basis, 1, 1 << t, 0):
-            self.apply_gate("cz", (c1, c2))
-            return 0
-        dropped = 0
-        for x_mask, z_mask in ((1 << c1, 0), (1 << c2, 0), (0, 1 << t)):
-            dropped += self._discard_component(x_mask, z_mask)
-        return dropped
+        xs, zs = self.x, self.z
+        return self._discard(c1, xs, zs) + self._discard(c2, xs, zs) + self._discard(t, zs, xs)
 
     # -- bounds ------------------------------------------------------------
 
     def nullity(self) -> int:
-        return self.n - len(self._rows)
+        return self.n - self.stab.bit_count()
 
     def local_nullity(self) -> int:
-        """Qubits not pinned by any weight-one string in the group.
-
-        O(1) unless some qubit is dirty; then only the dirty qubits are
-        rechecked, on rows written as vectors x | z << n.  One elimination
-        takes each vector's lead from its bits outside the dirty qubits while
-        it has any, so the rows led inside span the members supported on the
-        dirty qubits.  Fully reduced, each of those leads is set in its own
-        row only, so such a member equals the sum of the rows whose leads it
-        has.  A weight-one string at qubit q has bits q and q + n only: it is
-        in the group iff one of the (at most two) rows leading there, or
-        their sum, has no other bit."""
-        dirty = self.dirty
-        if dirty:
-            n = self.n
-            outside = ~(dirty | dirty << n)
-            rows: dict[int, int] = {}  # lead bit -> vector
-            for _, x, z in self._rows:
-                vec = x | z << n
-                while vec:
-                    lead = ((vec & outside) or vec).bit_length() - 1
-                    have = rows.get(lead)
-                    if have is None:
-                        rows[lead] = vec
-                        break
-                    vec ^= have
-            leads = sorted(lead for lead in rows if not outside >> lead & 1)
-            for i, lead in enumerate(leads):
-                bit, vec = 1 << lead, rows[lead]
-                for above in leads[i + 1:]:
-                    if rows[above] & bit:
-                        rows[above] ^= vec
-            pinned = self.pinned & ~dirty
-            while dirty:
-                q = dirty.bit_length() - 1
-                dirty ^= 1 << q
-                others = ~(1 << q | 1 << q + n)
-                lo, hi = rows.get(q, 0), rows.get(q + n, 0)
-                if any(r and not r & others for r in (lo, hi, lo ^ hi)):
-                    pinned |= 1 << q
-            self.pinned, self.dirty = pinned, 0
+        """Qubits not pinned by any weight-one string in the group."""
         return self.n - self.pinned.bit_count()
 
 

@@ -217,8 +217,10 @@ def test_gen_random_caps_and_determinism():
         gen_random(2, -1, seed=1)
     with pytest.raises(ValueError):
         gen_random(1, 5, seed=1, kinds=("cx",))  # nothing fits one qubit
-    for kinds in (("rx",), "cx"):  # a string is read one letter at a time
-        with pytest.raises(ValueError, match="unknown gate kind"):
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        gen_random(3, 5, seed=0, kinds=("rx",))
+    for kinds in ("cx", "hx", "xyz", "h"):  # a string of letters that are all kinds too
+        with pytest.raises(ValueError, match="not the string"):
             gen_random(3, 5, seed=0, kinds=kinds)
     for ceilings in ({"max_t": -2}, {"max_h": -1}):
         with pytest.raises(ValueError):

@@ -214,20 +214,26 @@ def test_local_nullity_matches_oracle_on_random_tableaux():
             arity = 2 if kind in ("cx", "cz", "swap") else 1
             tab.apply_gate(kind, tuple(rng.sample(range(n), arity)))
             assert tab.local_nullity() == local_nullity_oracle(tab)
-    for _ in range(300):  # arbitrary, possibly dependent, rows
+    for _ in range(300):  # arbitrary, possibly dependent, rows, then a few gates
         n = rng.randint(1, 9)
         tab = StabilizerTableau(n)
         masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(2 * rng.randint(0, n + 2))]
         tab.rows = [(0, x, z) for x, z in zip(masks[::2], masks[1::2])]
         assert tab.local_nullity() == local_nullity_oracle(tab)
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.choice(kinds if n > 1 else kinds[:5] + kinds[8:])
+            arity = 2 if kind in ("cx", "cz", "swap") else 1
+            tab.apply_gate(kind, tuple(rng.sample(range(n), arity)))
+            assert tab.local_nullity() == local_nullity_oracle(tab)
 
 
 def test_incremental_local_nullity_matches_oracle_after_every_gate():
-    """The pinned and dirty masks against the defining count, after every
-    tableau update, ccx taken both natively and through its network."""
+    """The pinned mask against the defining count, after every tableau
+    update, on registers of up to 40 qubits, ccx taken both natively and
+    through its network."""
     rng = random.Random(4242)
-    for _ in range(160):
-        n = rng.randint(1, 12)
+    for trial in range(200):
+        n = rng.randint(1, 12) if trial < 160 else rng.randint(13, 40)
         usable = sorted(k for k, arity in GATE_ARITY.items() if arity <= n)
         for native in (True, False):
             tab = StabilizerTableau(n)
@@ -239,9 +245,7 @@ def test_incremental_local_nullity_matches_oracle_after_every_gate():
                     steps = tuple((k, tuple(bits[i] for i in idx)) for k, idx in _CCX_NETWORK)
                 for step in steps:
                     tab.apply_gate(*step)
-                    if rng.random() < 0.7:  # let dirt pile up across some gates
-                        assert tab.local_nullity() == local_nullity_oracle(tab)
-            assert tab.local_nullity() == local_nullity_oracle(tab)
+                    assert tab.local_nullity() == local_nullity_oracle(tab)
 
 
 def test_local_nullity_update_rules():
@@ -251,16 +255,18 @@ def test_local_nullity_update_rules():
     tab.apply_gate("cx", (2, 1))
     assert tab.local_nullity() == 2 and tab.pinned == 0b001
     assert tab.apply_gate("t", (0,)) == 0
-    assert (tab.pinned, tab.dirty) == (0b001, 0)
+    assert tab.pinned == 0b001
     assert tab.local_nullity() == local_nullity_oracle(tab) == 2
 
-    # a drop on a dirty qubit settles that qubit and leaves the other dirty
+    # a cx rechecks both its qubits; a drop unpins its qubit and the pivot
+    # and Z_q join the commutant, which then has both an x and a z bit there
     tab = StabilizerTableau(2)
     tab.apply_gate("h", (1,))
     tab.apply_gate("cx", (1, 0))
-    assert tab.dirty == 0b11
+    assert tab.pinned == 0b00
     assert tab.apply_gate("t", (0,)) == 1
-    assert tab.dirty == 0b10 and not tab.pinned & 0b01
+    assert tab.pinned == 0b00 and tab.rows == [(0, 0b00, 0b11)]  # Z1 Z0 is left
+    assert tab.x[0] & tab.comm and tab.z[0] & tab.comm and tab.x[0] != tab.z[0]
     assert tab.local_nullity() == local_nullity_oracle(tab) == 2
 
     # a swap of a pinned qubit with an unpinned one moves the pin
@@ -269,16 +275,16 @@ def test_local_nullity_update_rules():
     tab.apply_gate("cx", (2, 1))
     tab.local_nullity()
     tab.apply_gate("swap", (0, 2))
-    assert (tab.pinned, tab.dirty) == (0b100, 0)
+    assert tab.pinned == 0b100
     assert tab.local_nullity() == local_nullity_oracle(tab) == 2
 
-    # rows assigned after some gates mark every qubit dirty
+    # rows assigned after some gates re-pin every qubit from their commutant
     tab = StabilizerTableau(3)
     for kind, bits in (("h", (0,)), ("cx", (0, 2)), ("t", (1,))):
         tab.apply_gate(kind, bits)
     assert tab.local_nullity() == local_nullity_oracle(tab) == 2
     tab.rows = [(0, 0b011, 0b000), (0, 0b000, 0b100)]  # X1 X0 and Z2
-    assert tab.dirty == 0b111
+    assert tab.pinned == 0b100
     assert tab.local_nullity() == local_nullity_oracle(tab) == 2
     tab.apply_gate("cx", (1, 0))  # X1 X0 -> X1: qubit 1 becomes pinned
     assert tab.local_nullity() == local_nullity_oracle(tab) == 1
@@ -406,6 +412,25 @@ PINNED_REPORTS = {
          ((1, 20), 2), ((1, 21), 1), ((1, 22), 1), ((1, 23), 1), ((1, 24), 2)),
     ),
 }
+
+
+def test_wide_ladder_ceilings_in_closed_form():
+    """The dressed GHZ ladder on 512 qubits: the first t drops the X...X
+    row and the later ones find nothing to drop, and no qubit of the block
+    the ladder has reached is pinned, so the local nullity is its size."""
+    n = 512
+    circ = dressed_ghz(n)
+    want, block, nullity = [], 0, 0
+    for gate in circ.gates:
+        if gate.kind in ("t", "tdg"):
+            nullity = 1
+        else:
+            block = gate.qubits[-1] + 1
+        want.append((nullity, block if block > 1 else 0))
+    report = track(circ, native_ccx=False)
+    assert report.per_gate[0] == (0, 0) and report.per_gate[-1] == (1, n)
+    assert report.per_gate == tuple(want)
+    assert report.dropped_rows == 1 and report.t_count == n // 4
 
 
 @pytest.mark.parametrize("native", [True, False])
