@@ -53,6 +53,7 @@ _REF_RE = re.compile(rf"({_ID})\s*\[\s*(\d+)\s*\]")
 _DECL_RE = re.compile(rf"[qc]reg\s+({_ID})\s*\[\s*(\d+)\s*\]")
 _MEASURE_RE = re.compile(rf"measure\s+({_REF})\s*->\s*({_REF})")
 _GATE_RE = re.compile(r"([a-z]+)\s+(.*)", re.S)
+_INCLUDE_RE = re.compile(r'include\s+"[^"]+"')
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -111,7 +112,10 @@ def parse_qasm(text: str) -> Circuit:
                 err("measure requires a creg", off)
             q = index(m.group(1), regs["qreg"], "qubit", off)
             measurements.append((q, index(m.group(2), regs["creg"], "classical", off)))
-        elif head != "include":
+        elif head == "include":
+            if _INCLUDE_RE.fullmatch(stmt) is None:
+                err("malformed include statement", off)
+        else:
             m = _GATE_RE.fullmatch(stmt)
             if m is None or m.group(1) not in GATE_ARITY:
                 err(f"unsupported statement {head!r}", off)
@@ -121,8 +125,11 @@ def parse_qasm(text: str) -> Circuit:
             qubits = tuple(index(a.strip(), regs["qreg"], "qubit", off) for a in args)
             try:
                 gates.append(GateInstance(m.group(1), qubits))
-            except ValueError as exc:
-                err(str(exc), off)
+            except ValueError:  # checked against no register; name this one's range
+                try:
+                    gate_support(m.group(1), qubits, regs["qreg"][1])
+                except ValueError as exc:
+                    err(str(exc), off)
 
     if "qreg" not in regs:
         raise QasmParseError("no qreg declaration", 1, 1)

@@ -30,14 +30,13 @@ qubits, with the sign rules of ``pauli.conj_bits``.
   reduce to a Clifford discards the x bit at each control the same way and
   the z bit at its target, where X_t joins L instead.
 
-``rows`` reads S back as kernel rows (k, x, z) of ``pauli`` with k in {0, 2}:
-i**k times the string, in the order the rows were made, which is the order
-in which the pivot is chosen.  Stabilizer groups are abelian and never
-contain minus identity, so every member is fixed by its string; membership
-with a sign reduces the string against the rows' echelon basis.  Assigning
-``rows`` takes any rows, dependent or not commuting, as S, and finds
-generators of S⊥ by one elimination: the discard rule run on the whole
-Pauli group, once per row.
+The tableau starts from |0...0>, where generator k is Z_k, and gates are
+its only way in.  ``rows`` reads S back as kernel rows (k, x, z) of
+``pauli`` with k in {0, 2}: i**k times the string, in the order the rows
+were made, which is the order in which the pivot is chosen.  Stabilizer
+groups are abelian and never contain minus identity, so every member is
+fixed by its string; membership with a sign reduces the string against the
+rows' echelon basis.
 """
 from __future__ import annotations
 
@@ -107,11 +106,12 @@ GATE_COUNTS.update(
 )
 
 
-def _signed_in(basis: Basis, sign: int, x: int, z: int) -> bool:
-    """Whether (-1)**sign times the string is in the group with this
-    echelon basis."""
+def _sign_in(basis: Basis, x: int, z: int) -> int | None:
+    """The sign s with which (-1)**s times the string is in the group with
+    this echelon basis, or None when the string is not.  The group is
+    abelian, so a product of its rows carries i**0 or i**2."""
     key, used = reduce_key(basis, string_key(x, z))
-    return key == 0 and combine(basis, used)[0] == 2 * sign
+    return None if key else combine(basis, used)[0] >> 1
 
 
 def _bits(mask: int):
@@ -130,26 +130,11 @@ class StabilizerTableau:
     S⊥; ``pinned`` marks the qubits with a weight-one string in S."""
 
     def __init__(self, n_qubits: int) -> None:
-        self.n = whole(n_qubits, "qubit count", 1)
-        everything = (1 << n_qubits) - 1  # each Z_k is a row, and S⊥ = S
-        self._load([(0, 0, 1 << k) for k in range(n_qubits)], everything, everything)
-        self._repin(range(n_qubits))
-
-    def _load(self, gens: list[Row], stab: int, comm: int) -> None:
-        """Hold ``gens[r]`` as generator r."""
-        n = self.n
-        self.x, self.z = [0] * n, [0] * n
-        self.sign = 0
-        for r, (k, x, z) in enumerate(gens):
-            bit = 1 << r
-            self.sign |= bit if k & 2 else 0
-            for q in _bits(x):
-                self.x[q] |= bit
-            for q in _bits(z):
-                self.z[q] |= bit
-        self.size = len(gens)
-        self.stab, self.comm = stab, comm
-        self.pinned = 0
+        n = self.n = whole(n_qubits, "qubit count", 1)
+        # generator k is Z_k, a row of S; S⊥ = S, and every qubit is pinned
+        self.x, self.z = [0] * n, [1 << k for k in range(n)]
+        self.sign, self.size = 0, n
+        self.stab = self.comm = self.pinned = (1 << n) - 1
 
     def _repin(self, qubits) -> None:
         """Recheck the pin of each qubit: a weight-one string at q is in S
@@ -177,35 +162,10 @@ class StabilizerTableau:
                 zs[r] |= 1 << q
         return [((self.sign >> r & 1) << 1, xs[r], zs[r]) for r in index]
 
-    @rows.setter
-    def rows(self, rows: list[Row]) -> None:
-        """Take the rows as S.  They may be dependent or fail to commute, so
-        S⊥ gets generators of its own: X_q and Z_q for every q, cut down row
-        by row with the discard rule.  Signs keep their meaning only while
-        the rows commute."""
-        rows = list(rows)
-        if any(k & 1 for k, _, _ in rows):
-            raise ValueError("a tableau row is i**k times its string with k in {0, 2}")
-        n, m = self.n, len(rows)
-        singles = [(0, 1 << q, 0) for q in range(n)] + [(0, 0, 1 << q) for q in range(n)]
-        self._load(rows + singles, (1 << m) - 1, ((1 << 2 * n) - 1) << m)
-        for _, x, z in rows:
-            hit = 0  # the generators that anticommute with the row
-            for q in _bits(x):
-                hit ^= self.z[q]
-            for q in _bits(z):
-                hit ^= self.x[q]
-            hit &= self.comm
-            if hit:
-                pivot = hit & -hit
-                self._multiply(hit ^ pivot, pivot)
-                self.comm ^= pivot
-        self._repin(range(n))
-
     # -- membership --------------------------------------------------------
 
     def contains(self, sign: int, x: int, z: int) -> bool:
-        return _signed_in(echelon(self.rows), sign, x, z)
+        return _sign_in(echelon(self.rows), x, z) == sign
 
     # -- gate updates ------------------------------------------------------
 
@@ -318,11 +278,7 @@ class StabilizerTableau:
         columns; only a member needs the rows' echelon basis for its sign."""
         if (self.z if x else self.x)[q] & self.comm:
             return None
-        basis = echelon(self.rows)
-        for sign in (0, 1):
-            if _signed_in(basis, sign, x, z):
-                return sign
-        return None
+        return _sign_in(echelon(self.rows), x, z)
 
     def _apply_toffoli(self, c1: int, c2: int, t: int) -> int:
         # The gate degenerates to a Clifford whenever a control is pinned to

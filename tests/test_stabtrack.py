@@ -13,7 +13,7 @@ from qddsim.circuit import dense_probability_zero
 from qddsim.coeff import I_UNIT, MINUS_ONE, ONE, ZERO, CoeffPolicy
 from qddsim.ddcore import DDStore
 from qddsim.measure import collapse, measurement_probability, sample_counts
-from qddsim.pauli import echelon, reduce_key, string_key
+from qddsim.pauli import conj_bits, echelon, reduce_key, string_key
 from qddsim.stabtrack import _CCX_NETWORK, GATE_ARITY, BoundReport, StabilizerTableau, track
 
 from conftest import bell_pair
@@ -203,28 +203,47 @@ def local_nullity_oracle(tab: StabilizerTableau) -> int:
     return tab.n - pinned
 
 
+def random_gates(rng: random.Random, n: int, count: int, kinds=tuple(sorted(GATE_ARITY))):
+    """``count`` random gates of the given kinds that fit on n qubits."""
+    usable = [k for k in kinds if GATE_ARITY[k] <= n]
+    for _ in range(count):
+        kind = rng.choice(usable)
+        yield kind, tuple(rng.sample(range(n), GATE_ARITY[kind]))
+
+
 def test_local_nullity_matches_oracle_on_random_tableaux():
+    """Groups reached through gates from |0...0>, with the pinned mask
+    checked against the defining count after every gate."""
     rng = random.Random(8086)
     kinds = ("h", "s", "sdg", "x", "z", "cx", "cz", "swap", "t", "tdg")
-    for _ in range(60):
+    for _ in range(360):
         n = rng.randint(1, 9)
         tab = StabilizerTableau(n)
-        for _ in range(rng.randint(0, 40)):
-            kind = rng.choice(kinds if n > 1 else kinds[:5] + kinds[8:])
-            arity = 2 if kind in ("cx", "cz", "swap") else 1
-            tab.apply_gate(kind, tuple(rng.sample(range(n), arity)))
+        for kind, bits in random_gates(rng, n, rng.randint(0, 40), kinds):
+            tab.apply_gate(kind, bits)
             assert tab.local_nullity() == local_nullity_oracle(tab)
-    for _ in range(300):  # arbitrary, possibly dependent, rows, then a few gates
-        n = rng.randint(1, 9)
+
+
+def test_clifford_columns_follow_the_row_rules():
+    """After each Clifford gate the rows are the previous rows, each
+    conjugated by ``pauli.conj_bits`` with its sign flip folded into k:
+    the column rules of ``apply_gate`` agree with the row rules.  A short
+    prefix of any kinds reaches the group; a t or ccx there leaves fewer
+    rows, and a long one would leave mostly z strings."""
+    rng = random.Random(1729)
+    clifford = ("cx", "cz", "h", "s", "sdg", "swap", "x", "y", "z")
+    for _ in range(200):
+        n = rng.randint(1, 12)
         tab = StabilizerTableau(n)
-        masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(2 * rng.randint(0, n + 2))]
-        tab.rows = [(0, x, z) for x, z in zip(masks[::2], masks[1::2])]
-        assert tab.local_nullity() == local_nullity_oracle(tab)
-        for _ in range(rng.randint(0, 6)):
-            kind = rng.choice(kinds if n > 1 else kinds[:5] + kinds[8:])
-            arity = 2 if kind in ("cx", "cz", "swap") else 1
-            tab.apply_gate(kind, tuple(rng.sample(range(n), arity)))
-            assert tab.local_nullity() == local_nullity_oracle(tab)
+        for kind, bits in random_gates(rng, n, rng.randint(0, 8)):
+            tab.apply_gate(kind, bits)
+        for kind, bits in random_gates(rng, n, rng.randint(0, 30), clifford):
+            want = []
+            for k, x, z in tab.rows:
+                x, z, flip = conj_bits(kind, bits, x, z)
+                want.append(((k + 2 * flip) & 3, x, z))
+            tab.apply_gate(kind, bits)
+            assert tab.rows == want
 
 
 def test_incremental_local_nullity_matches_oracle_after_every_gate():
@@ -234,12 +253,9 @@ def test_incremental_local_nullity_matches_oracle_after_every_gate():
     rng = random.Random(4242)
     for trial in range(200):
         n = rng.randint(1, 12) if trial < 160 else rng.randint(13, 40)
-        usable = sorted(k for k, arity in GATE_ARITY.items() if arity <= n)
         for native in (True, False):
             tab = StabilizerTableau(n)
-            for _ in range(rng.randint(0, 50)):
-                kind = rng.choice(usable)
-                bits = tuple(rng.sample(range(n), GATE_ARITY[kind]))
+            for kind, bits in random_gates(rng, n, rng.randint(0, 50)):
                 steps = ((kind, bits),)
                 if kind == "ccx" and not native:
                     steps = tuple((k, tuple(bits[i] for i in idx)) for k, idx in _CCX_NETWORK)
@@ -278,15 +294,18 @@ def test_local_nullity_update_rules():
     assert tab.pinned == 0b100
     assert tab.local_nullity() == local_nullity_oracle(tab) == 2
 
-    # rows assigned after some gates re-pin every qubit from their commutant
+    # the group <X1 X0, Z2> reached through gates: cx(1, 0) maps X1 X0 to
+    # X1, which pins qubit 1
     tab = StabilizerTableau(3)
-    for kind, bits in (("h", (0,)), ("cx", (0, 2)), ("t", (1,))):
+    for kind, bits in (("h", (0,)), ("cx", (0, 1)), ("h", (0,)), ("h", (1,)),
+                       ("t", (0,)), ("h", (0,)), ("h", (1,))):
         tab.apply_gate(kind, bits)
-    assert tab.local_nullity() == local_nullity_oracle(tab) == 2
-    tab.rows = [(0, 0b011, 0b000), (0, 0b000, 0b100)]  # X1 X0 and Z2
+    assert sorted(tab.rows) == [(0, 0b000, 0b100), (0, 0b011, 0b000)]
     assert tab.pinned == 0b100
     assert tab.local_nullity() == local_nullity_oracle(tab) == 2
-    tab.apply_gate("cx", (1, 0))  # X1 X0 -> X1: qubit 1 becomes pinned
+    tab.apply_gate("cx", (1, 0))
+    assert sorted(tab.rows) == [(0, 0b000, 0b100), (0, 0b010, 0b000)]
+    assert tab.pinned == 0b110
     assert tab.local_nullity() == local_nullity_oracle(tab) == 1
 
 

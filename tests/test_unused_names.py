@@ -1,11 +1,14 @@
-"""Guard against dead code: every top-level name of the package and of the
-shared test helpers is used, and every name a module imports.
+"""Guard against dead code: every top-level name and method of the package
+and every top-level name of the shared test helpers is used, and every name
+a module imports.
 
 A top-level function, class or constant of ``src/qddsim/*.py`` or
 ``tests/conftest.py`` must appear, as a whole word, somewhere besides its own
 definition: in ``src/``, ``tests/`` or ``perfbench/``, or in the package's
-``__all__``.  A fixture is used when a test names it as a parameter.  Dunder
-names are exempt.  A module of ``src/qddsim/`` other than ``__init__.py``
+``__all__``.  So must every method of a class of ``src/qddsim``: its name
+appears more often than the package defines methods of that name.  A
+fixture is used when a test names it as a parameter.  Dunder names are
+exempt.  A module of ``src/qddsim/`` other than ``__init__.py``
 uses every name it imports in its own code, so none is imported only to be
 re-exported.  Only ``stabtrack.py`` names ``Integral``: its ``whole`` is the
 one rule for a whole-number input.
@@ -35,17 +38,37 @@ def _top_level_names(tree: ast.Module) -> list[str]:
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
-def test_every_top_level_name_is_used():
+def _words() -> Counter:
     words = Counter()
     for folder in ("src", "tests", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
             words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    return words
+
+
+def test_every_top_level_name_is_used():
+    words = _words()
     unused = [
         f"{path.name}: {name}"
         for path in [*sorted(PACKAGE.glob("*.py")), ROOT / "tests" / "conftest.py"]
         for name in _top_level_names(ast.parse(path.read_text(encoding="utf-8")))
         if words[name] < 2 and name not in qddsim.__all__
     ]
+    assert not unused, unused
+
+
+def test_every_method_is_used():
+    methods = Counter(
+        stmt.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+    )
+    words = _words()
+    unused = sorted(name for name, defined in methods.items() if words[name] <= defined)
     assert not unused, unused
 
 
